@@ -9,11 +9,14 @@ STATICCHECK_VERSION ?= 2024.1.1
 FUZZ_TIME ?= 15s
 
 ## check: the full gate — vet, build, and the whole suite under the race
-## detector (includes the crash-recovery smoke tests alongside everything else).
+## detector (includes the crash-recovery smoke tests alongside everything else),
+## then vet and test the benchmark/ module, which has its own go.mod and so
+## is outside ./... of the root module.
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 ## chaos: the fault-injection + crash chaos suite (fixed seeds 1-5): exact
 ## collectives under drop/corrupt/jitter/stall, deterministic traces, flap

@@ -23,8 +23,8 @@
 // invariant: -shards 1, 2, and 4 print identical figures; only wall time
 // changes. -shards 0 (default) keeps the single global event loop,
 // bit-identical to the pre-sharding simulator. Features that need a
-// global event order (crash schedules, health membership, tree topology)
-// silently cap the engine count at one.
+// global event order (crash schedules, health membership, the fat-tree
+// topology) silently cap the engine count at one.
 //
 // The -exp perf harness measures the simulator itself (events/sec,
 // allocs/event, wall time per experiment) and writes BENCH_sim.json;
@@ -243,8 +243,8 @@ func run() int {
 	capTrigFIFO := flag.Int("cap-trigger-fifo", 0, "trigger FIFO depth; overflow drops and counts (0 = unbounded)")
 	capEQ := flag.Int("cap-eq", 0, "default event-queue capacity; overflow drops PTL_EQ_DROPPED-style (0 = unbounded)")
 
-	topo := flag.String("topo", "", "interconnect topology: star|tree|fattree (empty = the Table 2 star)")
-	topoLeaf := flag.Int("topo-leaf", 0, "nodes per leaf switch for -topo tree/fattree (0 = default)")
+	topo := flag.String("topo", "", "interconnect topology: star|fattree (empty = the Table 2 star)")
+	topoLeaf := flag.Int("topo-leaf", 0, "fat-tree nodes per leaf switch (0 = 4)")
 	topoPodLeaves := flag.Int("topo-podleaves", 0, "fat-tree leaf switches per pod (0 = 2)")
 	topoSpines := flag.Int("topo-spines", 0, "fat-tree spine switches per pod (0 = 2)")
 	topoCores := flag.Int("topo-cores", 0, "fat-tree core switches (0 = spines)")
@@ -420,9 +420,6 @@ func run() int {
 	}
 	if *topo != "" {
 		cfg.Network.Topology = *topo
-		if *topo == config.TopologyTree && *topoLeaf > 0 {
-			cfg.Network.TreeLeafSize = *topoLeaf
-		}
 	}
 	cfg.Network.FatTree = config.TopologyConfig{
 		LeafSize:     *topoLeaf,
@@ -459,13 +456,10 @@ func run() int {
 	}
 	fmt.Println(fault.NewInjector(cfg.Faults).Summary())
 	fmt.Println(fault.NewCrashPlan(cfg.Crash).Summary())
-	switch cfg.Network.Topology {
-	case config.TopologyFatTree:
+	if cfg.Network.Topology == config.TopologyFatTree {
 		ft := cfg.Network.FatTree.WithDefaults()
 		fmt.Printf("topology: fattree leaf=%d podleaves=%d spines=%d cores=%d credits=%d ecn=%d\n",
 			ft.LeafSize, ft.PodLeaves, ft.Spines, ft.Cores, ft.QueueCredits, ft.ECNThreshold)
-	case config.TopologyTree:
-		fmt.Printf("topology: tree leaf=%d\n", cfg.Network.TreeLeafSize)
 	}
 	if cfg.Faults.Switch.Enabled() {
 		fmt.Println(fault.NewSwitchPlan(cfg.Faults.Switch).Summary())

@@ -430,9 +430,11 @@ func RenderAblations(cfg config.SystemConfig) string {
 }
 
 // AblationTopology compares the Table 2 star against the oversubscribed
-// two-level tree for the 8 MB Allreduce at the given node count: the ring
-// pattern crosses leaf boundaries constantly, so shared uplinks slow every
-// backend while the relative GPU-TN advantage persists.
+// two-level tree for the 8 MB Allreduce at the given node count. The tree
+// is a one-pod fat-tree with a single spine (and core): each leaf of
+// leafSize nodes shares one uplink to the root. The ring pattern crosses
+// leaf boundaries constantly, so shared uplinks slow every backend while
+// the relative GPU-TN advantage persists.
 func AblationTopology(cfg config.SystemConfig, nodes, leafSize int) (star, tree sim.Time) {
 	run := func(c config.SystemConfig) sim.Time {
 		cl := node.NewCluster(c, nodes)
@@ -443,8 +445,13 @@ func AblationTopology(cfg config.SystemConfig, nodes, leafSize int) (star, tree 
 		return res.Duration
 	}
 	t := cfg
-	t.Network.Topology = config.TopologyTree
-	t.Network.TreeLeafSize = leafSize
+	t.Network.Topology = config.TopologyFatTree
+	t.Network.FatTree = config.TopologyConfig{
+		LeafSize:  leafSize,
+		PodLeaves: (nodes + leafSize - 1) / leafSize,
+		Spines:    1,
+		Cores:     1,
+	}
 	both := parallelMap(2, func(i int) sim.Time {
 		if i == 0 {
 			return run(cfg)

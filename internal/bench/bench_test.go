@@ -350,10 +350,12 @@ func TestRenderFigure8Bars(t *testing.T) {
 	}
 }
 
+// The one-pod, one-spine fat-tree reproduces the two-level tree it
+// replaced exactly: same per-hop posts, same event order, same durations.
 func TestAblationTopology(t *testing.T) {
 	star, tree := AblationTopology(config.Default(), 8, 4)
-	if tree <= star {
-		t.Fatalf("oversubscribed tree (%v) should be slower than star (%v)", tree, star)
+	if star != 1981109896 || tree != 1985331336 {
+		t.Fatalf("star=%d tree=%d ps, want 1981109896 and 1985331336", int64(star), int64(tree))
 	}
 }
 

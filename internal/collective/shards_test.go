@@ -142,7 +142,7 @@ func TestShardSumStaysExact(t *testing.T) {
 }
 
 // TestShardSerialRequiredFallsBack: features needing a global event order
-// (crash schedules, health membership, tree topology) must silently cap the
+// (crash schedules, health membership, fat-tree topology) must silently cap the
 // engine count at one — and still complete.
 func TestShardSerialRequiredFallsBack(t *testing.T) {
 	cfg := config.Default()

@@ -761,8 +761,6 @@ type NICConfig struct {
 const (
 	// TopologyStar is the paper's single-switch star (Table 2).
 	TopologyStar = "star"
-	// TopologyTree is the two-level tree extension with shared uplinks.
-	TopologyTree = "tree"
 	// TopologyFatTree is the three-tier leaf/spine/core fat-tree with
 	// per-hop flow control and switch failure domains.
 	TopologyFatTree = "fattree"
@@ -775,10 +773,8 @@ type NetworkConfig struct {
 	BandwidthGbps float64  // 100 Gb/s
 	MTUBytes      int64    // packetization unit
 	// Topology selects the interconnect: TopologyStar (default, the
-	// paper's configuration), TopologyTree, or TopologyFatTree.
+	// paper's configuration) or TopologyFatTree.
 	Topology string
-	// TreeLeafSize is the nodes-per-leaf-switch of TopologyTree.
-	TreeLeafSize int
 	// FatTree shapes the TopologyFatTree fabric; the zero value takes the
 	// WithDefaults layout and is pay-for-use (ignored unless Topology is
 	// TopologyFatTree).
@@ -919,7 +915,7 @@ type SystemConfig struct {
 	// round-robins nodes over N engines synchronized by bounded-window
 	// lookahead; Shards=1 is the single-engine laned reference that any
 	// Shards=N run reproduces exactly. Features that need one global event
-	// order (health membership, crash schedules, hedging, tracing, tree
+	// order (health membership, crash schedules, hedging, tracing, fat-tree
 	// topology) force the effective engine count to 1 regardless.
 	Shards int
 }
@@ -995,10 +991,8 @@ func (c *SystemConfig) Validate() error {
 		return fmt.Errorf("config: Network.BandwidthGbps = %v", c.Network.BandwidthGbps)
 	case c.Network.MTUBytes <= 0:
 		return fmt.Errorf("config: Network.MTUBytes = %d", c.Network.MTUBytes)
-	case c.Network.Topology == TopologyTree && c.Network.TreeLeafSize <= 0:
-		return fmt.Errorf("config: tree topology requires TreeLeafSize > 0")
 	case c.Network.Topology != "" && c.Network.Topology != TopologyStar &&
-		c.Network.Topology != TopologyTree && c.Network.Topology != TopologyFatTree:
+		c.Network.Topology != TopologyFatTree:
 		return fmt.Errorf("config: unknown topology %q", c.Network.Topology)
 	case c.Faults.Switch.Enabled() && c.Network.Topology != TopologyFatTree:
 		return fmt.Errorf("config: Faults.Switch events require Network.Topology = %q", TopologyFatTree)
@@ -1012,6 +1006,10 @@ func (c *SystemConfig) Validate() error {
 		return fmt.Errorf("config: Shards = %d", c.Shards)
 	case c.Shards > 0 && c.Network.LinkLatency+c.Network.SwitchLatency <= 0:
 		return fmt.Errorf("config: sharding requires a positive cross-node latency (LinkLatency+SwitchLatency)")
+	case c.Shards > 0 && c.Network.Topology == TopologyFatTree && c.Network.LinkLatency <= 0:
+		// The fat-tree's final ingress hop pays propagation only, so its
+		// cross-node lookahead is LinkLatency alone.
+		return fmt.Errorf("config: sharding a fat-tree requires LinkLatency > 0")
 	}
 	if err := c.Network.FatTree.validate(); err != nil {
 		return err

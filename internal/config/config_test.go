@@ -57,6 +57,9 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		func(c *SystemConfig) { c.Faults.DelayJitter = -1 },
 		func(c *SystemConfig) { c.Faults.CmdStallProb = 0.5; c.Faults.CmdStallTime = -1 },
 		func(c *SystemConfig) { c.Faults.FlapNode = -1; c.Faults.FlapStart = 1; c.Faults.FlapEnd = 2 },
+		// A sharded fat-tree's lookahead is LinkLatency alone (its final
+		// ingress hop pays no switch), so a zero link must not pass.
+		func(c *SystemConfig) { c.Shards = 1; c.Network.Topology = TopologyFatTree; c.Network.LinkLatency = 0 },
 	}
 	for i, m := range mutations {
 		c := Default()

@@ -3,7 +3,7 @@
 // blackholed at time t" from a precomputed side map — no RNG, no events —
 // and a degradeState answers "is this packet inside a degradation window,
 // and if so how slow and how lossy". Both are consulted from the single
-// per-packet fault point in the fabrics, so the tree topology honors them
+// per-packet fault point both fabrics share, so the fat-tree honors them
 // without any new processes.
 package fault
 

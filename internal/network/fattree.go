@@ -6,10 +6,11 @@
 // pod-local spine switches form a pod; Cores core switches join the pods.
 // Routing is up/down: same-leaf traffic turns at the leaf, intra-pod
 // traffic climbs to one pod spine, cross-pod traffic climbs through a
-// spine and a core into the destination pod. Each transmit port is the
-// same event-chained passive stage as the tree fabric — one
-// serialization-completion event per frame, no pump goroutines — so the
-// whole fabric replays bit-for-bit from a seed.
+// spine and a core into the destination pod. Each transmit port is an
+// event-chained passive stage — one serialization-completion event per
+// frame, no pump goroutines — so the whole fabric replays bit-for-bit from
+// a seed. A one-pod, one-spine, one-core shape is the classic two-level
+// tree: every leaf shares a single uplink to one root switch.
 //
 // Failure domains: a whole switch (leaf/spine/core) or a single
 // inter-switch trunk dies at a scheduled instant and optionally comes
@@ -35,13 +36,72 @@ package network
 import (
 	"fmt"
 
-	"repro/internal/audit"
 	"repro/internal/config"
-	"repro/internal/fault"
 	"repro/internal/sim"
 )
 
 var _ Transport = (*FatTree)(nil)
+
+// stage is one store-and-forward transmit port: a FIFO serialized at the
+// stage rate, each frame forwarded after the fixed post-latency. Like the
+// star fabric's ports, a stage is an event-driven state machine — one
+// serialization-completion event per frame, no pump process.
+type stage struct {
+	q    []*frame
+	head int
+	cur  *frame // in service; nil when the stage is idle
+	done func()
+	gbps float64
+	post sim.Time
+	// faultPoint marks the injection stage (the node-to-leaf egress hop);
+	// fault verdicts are drawn exactly once per frame, there.
+	faultPoint bool
+
+	// dead marks a port of a killed switch or trunk: arriving frames are
+	// dropped with reason "switchdown", and full() reads false so
+	// upstream ports never block on a sink.
+	dead bool
+	// credits bounds occupancy (queued + in-service + reserved); 0 =
+	// unbounded. ecnThresh marks arriving messages when occupancy is at
+	// or above it; 0 = never mark.
+	credits   int
+	ecnThresh int
+	// reserved counts frames committed upstream (serialization started)
+	// but still in post-latency flight toward this stage.
+	reserved int
+	// blocked is the FIFO of upstream stages stalled waiting for one of
+	// this stage's credits; stalled marks a stage parked in some
+	// downstream blocked list.
+	blocked []*stage
+	stalled bool
+	// owner is the audit switch index whose hop-conservation ledger this
+	// port belongs to; -1 = node-owned (the egress injection port).
+	owner int
+}
+
+func (s *stage) push(p *frame) { s.q = append(s.q, p) }
+
+func (s *stage) pop() *frame {
+	p := s.q[s.head]
+	s.q[s.head] = nil
+	s.head++
+	if s.head == len(s.q) {
+		s.q = s.q[:0]
+		s.head = 0
+	}
+	return p
+}
+
+func (s *stage) empty() bool { return s.head == len(s.q) }
+
+// frame is one MTU-sized segment of a message crossing the fat-tree.
+type frame struct {
+	msg   *Message
+	bytes int64
+	last  bool
+	// path holds the remaining stages; empty means deliver.
+	path []*stage
+}
 
 // UnroutedSample records one message the fat-tree could not route: every
 // candidate path crossed a dead switch or trunk. The watchdog's HangError
@@ -59,11 +119,10 @@ type UnroutedSample struct {
 // (node.serialRequired): ports are shared mutable state across all node
 // pairs, so there is no per-node lane partition to shard over.
 type FatTree struct {
+	ledger
 	eng  *sim.Engine
 	cfg  config.NetworkConfig
 	topo config.TopologyConfig
-	inj  *fault.Injector
-	au   *audit.Auditor
 
 	nleaves int
 	npods   int
@@ -81,16 +140,6 @@ type FatTree struct {
 	aliveLeaf  []bool
 	aliveSpine []bool
 	aliveCore  []bool
-
-	handlers []Handler
-
-	bytesSent      []int64
-	bytesDelivered []int64
-	msgsDelivered  []int64
-	pktsDropped    int64
-	msgsLost       int64
-	msgsCorrupted  int64
-	lastDelivery   sim.Time
 
 	// Switch-domain and congestion accounting.
 	switchDrops   int64 // frames dropped at dead ports ("switchdown")
@@ -113,20 +162,17 @@ func NewFatTree(eng *sim.Engine, cfg config.NetworkConfig, n int) *FatTree {
 	nleaves := topo.Leaves(n)
 	npods := topo.Pods(n)
 	f := &FatTree{
-		eng:            eng,
-		cfg:            cfg,
-		topo:           topo,
-		nleaves:        nleaves,
-		npods:          npods,
-		nspines:        npods * topo.Spines,
-		ncores:         topo.Cores,
-		handlers:       make([]Handler, n),
-		bytesSent:      make([]int64, n),
-		bytesDelivered: make([]int64, n),
-		msgsDelivered:  make([]int64, n),
-		aliveLeaf:      make([]bool, nleaves),
-		aliveSpine:     make([]bool, npods*topo.Spines),
-		aliveCore:      make([]bool, topo.Cores),
+		ledger:     newLedger(n),
+		eng:        eng,
+		cfg:        cfg,
+		topo:       topo,
+		nleaves:    nleaves,
+		npods:      npods,
+		nspines:    npods * topo.Spines,
+		ncores:     topo.Cores,
+		aliveLeaf:  make([]bool, nleaves),
+		aliveSpine: make([]bool, npods*topo.Spines),
+		aliveCore:  make([]bool, topo.Cores),
 	}
 	for i := range f.aliveLeaf {
 		f.aliveLeaf[i] = true
@@ -192,7 +238,8 @@ func (f *FatTree) spineSwitch(g int) int { return f.nleaves + g }
 func (f *FatTree) coreSwitch(c int) int  { return f.nleaves + f.nspines + c }
 
 // SwitchCount returns the total switch count across all tiers (the size
-// of the audit hop ledger).
+// of the audit hop ledger; callers installing an auditor must
+// RegisterHops(SwitchCount()) on it first).
 func (f *FatTree) SwitchCount() int { return f.nleaves + f.nspines + f.ncores }
 
 // SwitchName renders a ledger index back to its tier name, for reports.
@@ -212,20 +259,6 @@ func (f *FatTree) Leaves() int { return f.nleaves }
 func (f *FatTree) Pods() int   { return f.npods }
 func (f *FatTree) Spines() int { return f.nspines }
 func (f *FatTree) Cores() int  { return f.ncores }
-
-// Nodes implements Transport.
-func (f *FatTree) Nodes() int { return len(f.handlers) }
-
-// Bind implements Transport.
-func (f *FatTree) Bind(id NodeID, h Handler) { f.handlers[id] = h }
-
-// SetInjector implements Transport.
-func (f *FatTree) SetInjector(in *fault.Injector) { f.inj = in }
-
-// SetAuditor implements Transport. Fat-tree clusters run on a single
-// engine (serialRequired), so every hook fires in one event order. The
-// caller must RegisterHops(SwitchCount()) for the per-switch ledger.
-func (f *FatTree) SetAuditor(a *audit.Auditor) { f.au = a }
 
 // occupancy is the port's credit load: frames queued, in service, and
 // committed by an upstream stage but still in post-latency flight.
@@ -312,22 +345,8 @@ func (f *FatTree) pickPath(src, dst NodeID) ([]*stage, string) {
 // and the retransmission reroutes), and a message with no surviving path
 // is counted Unrouteable instead of queued toward a dead port.
 func (f *FatTree) Send(m *Message) {
-	if int(m.Src) < 0 || int(m.Src) >= len(f.handlers) || int(m.Dst) < 0 || int(m.Dst) >= len(f.handlers) {
-		panic(fmt.Sprintf("network: fat-tree send %d->%d outside fabric of %d nodes", m.Src, m.Dst, len(f.handlers)))
-	}
-	if m.Src == m.Dst {
-		panic("network: fabric does not route loopback traffic")
-	}
-	if m.Size < 0 {
-		panic("network: negative message size")
-	}
-	if f.handlers[m.Dst] == nil {
-		panic(fmt.Sprintf("network: send %d->%d but no handler is bound for node %d (call Bind before sending)", m.Src, m.Dst, m.Dst))
-	}
+	f.admit(m)
 	m.SentAt = f.eng.Now()
-	f.bytesSent[m.Src] += m.Size
-	f.au.MessageSent(int(m.Src), int(m.Dst))
-
 	path, reason := f.pickPath(m.Src, m.Dst)
 	if path == nil {
 		f.unrouteable++
@@ -336,9 +355,7 @@ func (f *FatTree) Send(m *Message) {
 				Src: m.Src, Dst: m.Dst, At: f.eng.Now(), Reason: reason,
 			})
 		}
-		m.damaged = true
-		f.msgsLost++
-		f.au.MessageLost(int(m.Src), int(m.Dst))
+		f.lose(m)
 		return
 	}
 	remaining := m.Size
@@ -348,7 +365,7 @@ func (f *FatTree) Send(m *Message) {
 			chunk = f.cfg.MTUBytes
 		}
 		remaining -= chunk
-		pkt := &treePacket{msg: m, bytes: chunk, last: remaining == 0, path: path[1:]}
+		pkt := &frame{msg: m, bytes: chunk, last: remaining == 0, path: path[1:]}
 		path[0].push(pkt)
 		if remaining == 0 {
 			break
@@ -403,14 +420,9 @@ func (f *FatTree) kickBlocked(s *stage) {
 // dropPacket accounts one frame dropped at a dead port: the message is
 // damaged (delivery suppressed, reliable senders will retransmit and
 // reroute) and the owning switch's hop ledger records the drop.
-func (f *FatTree) dropPacket(pkt *treePacket, owner int) {
-	f.pktsDropped++
+func (f *FatTree) dropPacket(pkt *frame, owner int) {
 	f.switchDrops++
-	if !pkt.msg.damaged {
-		pkt.msg.damaged = true
-		f.msgsLost++
-		f.au.MessageLost(int(pkt.msg.Src), int(pkt.msg.Dst))
-	}
+	f.drop(pkt.msg)
 	if owner >= 0 {
 		f.au.HopDropped(owner)
 	}
@@ -418,7 +430,7 @@ func (f *FatTree) dropPacket(pkt *treePacket, owner int) {
 
 // releaseReservation returns the credit a dropped in-service frame had
 // reserved on its next port, waking anything parked on it.
-func (f *FatTree) releaseReservation(pkt *treePacket) {
+func (f *FatTree) releaseReservation(pkt *frame) {
 	if len(pkt.path) > 0 {
 		ns := pkt.path[0]
 		ns.reserved--
@@ -440,33 +452,14 @@ func (f *FatTree) stageDone(s *stage) {
 	if s.owner >= 0 {
 		f.au.HopOut(s.owner)
 	}
-	post := s.post
-	dropped := false
-	if s.faultPoint && f.inj != nil {
-		fate := f.inj.Packet(f.eng.Now(), int(pkt.msg.Src), int(pkt.msg.Dst))
-		if fate.Drop {
-			f.pktsDropped++
-			if !pkt.msg.damaged {
-				pkt.msg.damaged = true
-				f.msgsLost++
-				f.au.MessageLost(int(pkt.msg.Src), int(pkt.msg.Dst))
-			}
-			f.releaseReservation(pkt)
-			dropped = true
-		} else {
-			if fate.Corrupt && !pkt.msg.Corrupted {
-				pkt.msg.Corrupted = true
-				f.msgsCorrupted++
-			}
-			if fate.DelayFactor > 1 {
-				post = sim.Time(float64(post) * fate.DelayFactor)
-			}
-			post += fate.Delay
-		}
+	post, dropped := s.post, false
+	if s.faultPoint {
+		post, dropped = f.faultPoint(f.eng.Now(), pkt.msg, post)
 	}
-	if !dropped {
-		next := pkt
-		f.eng.After(post, func() { f.arrive(next) })
+	if dropped {
+		f.releaseReservation(pkt)
+	} else {
+		f.eng.After(post, func() { f.arrive(pkt) })
 	}
 	f.kickBlocked(s)
 	f.maybeStart(s)
@@ -474,9 +467,9 @@ func (f *FatTree) stageDone(s *stage) {
 
 // arrive lands one frame at its next port (or delivers it). Arrival at a
 // port of a switch killed while the frame was in flight drops it.
-func (f *FatTree) arrive(pkt *treePacket) {
+func (f *FatTree) arrive(pkt *frame) {
 	if len(pkt.path) == 0 {
-		f.deliver(pkt)
+		f.deliver(pkt.msg, pkt.bytes, pkt.last, f.eng.Now())
 		return
 	}
 	ns := pkt.path[0]
@@ -498,24 +491,6 @@ func (f *FatTree) arrive(pkt *treePacket) {
 	}
 	ns.push(pkt)
 	f.maybeStart(ns)
-}
-
-func (f *FatTree) deliver(pkt *treePacket) {
-	dst := pkt.msg.Dst
-	f.bytesDelivered[dst] += pkt.bytes
-	if pkt.last {
-		if pkt.msg.damaged {
-			return
-		}
-		f.msgsDelivered[dst]++
-		f.lastDelivery = f.eng.Now()
-		f.au.MessageDelivered(int(pkt.msg.Src), int(dst))
-		h := f.handlers[dst]
-		if h == nil {
-			panic(fmt.Sprintf("network: no handler bound for node %d", dst))
-		}
-		h(pkt.msg)
-	}
 }
 
 // killStage marks one port dead and drops everything it holds. The
@@ -636,53 +611,6 @@ func (f *FatTree) RestoreTrunk(aTier string, aIdx int, bTier string, bIdx int) {
 	f.restoreStage(up)
 	f.restoreStage(down)
 }
-
-// UnloadedLatency implements Transport for the worst-case (cross-pod)
-// path: six serialization stages pipelined plus the fixed latencies.
-func (f *FatTree) UnloadedLatency(size int64) sim.Time {
-	ser := func(n int64) sim.Time {
-		var out sim.Time
-		for n > 0 {
-			chunk := n
-			if chunk > f.cfg.MTUBytes {
-				chunk = f.cfg.MTUBytes
-			}
-			out += sim.BytesAtGbps(chunk, f.cfg.BandwidthGbps)
-			n -= chunk
-		}
-		return out
-	}
-	full := ser(size)
-	lastChunk := size % f.cfg.MTUBytes
-	if lastChunk == 0 {
-		lastChunk = min64(size, f.cfg.MTUBytes)
-	}
-	// First stage streams the whole message; the five later stages each
-	// add one more chunk of pipeline fill.
-	fixed := 6*f.cfg.LinkLatency + 5*f.cfg.SwitchLatency
-	return full + 5*sim.BytesAtGbps(lastChunk, f.cfg.BandwidthGbps) + fixed
-}
-
-// BytesSent implements Transport.
-func (f *FatTree) BytesSent(id NodeID) int64 { return f.bytesSent[id] }
-
-// BytesDelivered implements Transport.
-func (f *FatTree) BytesDelivered(id NodeID) int64 { return f.bytesDelivered[id] }
-
-// MessagesDelivered implements Transport.
-func (f *FatTree) MessagesDelivered(id NodeID) int64 { return f.msgsDelivered[id] }
-
-// LastDelivery implements Transport.
-func (f *FatTree) LastDelivery() sim.Time { return f.lastDelivery }
-
-// PacketsDropped implements Transport.
-func (f *FatTree) PacketsDropped() int64 { return f.pktsDropped }
-
-// MessagesLost implements Transport.
-func (f *FatTree) MessagesLost() int64 { return f.msgsLost }
-
-// MessagesCorrupted implements Transport.
-func (f *FatTree) MessagesCorrupted() int64 { return f.msgsCorrupted }
 
 // SwitchDrops reports frames dropped at dead switch/trunk ports.
 func (f *FatTree) SwitchDrops() int64 { return f.switchDrops }

@@ -60,12 +60,6 @@ func TestFatTreeTierLatencies(t *testing.T) {
 			t.Errorf("%s latency = %v, want %v", tc.name, arrived, tc.want)
 		}
 	}
-	// UnloadedLatency models the worst case (cross-pod).
-	e := sim.NewEngine()
-	f := NewFatTree(e, ftCfg(), 16)
-	if got, want := f.UnloadedLatency(64), 6*ser+6*l+5*s; got != want {
-		t.Fatalf("UnloadedLatency(64) = %v, want %v", got, want)
-	}
 }
 
 func TestFatTreeSpineKillReroutes(t *testing.T) {
@@ -290,6 +284,165 @@ func TestFatTreeHopConservationUnderKill(t *testing.T) {
 		vs, _ := au.Violations()
 		t.Fatalf("hop ledger violated: %v", vs)
 	}
+}
+
+// A one-pod, one-spine fat-tree is the oversubscribed two-level tree: all
+// four nodes of leaf 0 blast cross-leaf at once, the leaf's single uplink
+// serializes them, so the aggregate takes at least 4x one transfer — and
+// the same load on the star, with no shared stage, finishes sooner.
+func TestFatTreeUplinkOversubscription(t *testing.T) {
+	const msg = 256 << 10
+	blast := func(tr Transport, e *sim.Engine) sim.Time {
+		for i := 4; i < 8; i++ {
+			tr.Bind(NodeID(i), func(m *Message) {})
+		}
+		e.Go("gen", func(p *sim.Proc) {
+			for i := 0; i < 4; i++ {
+				tr.Send(&Message{Src: NodeID(i), Dst: NodeID(4 + i), Size: msg})
+			}
+		})
+		e.Run()
+		return tr.LastDelivery()
+	}
+	cfg := ftCfg()
+	cfg.FatTree = config.TopologyConfig{LeafSize: 4, PodLeaves: 2, Spines: 1, Cores: 1}
+	e := sim.NewEngine()
+	tree := blast(NewFatTree(e, cfg, 8), e)
+	if floor := sim.BytesAtGbps(4*msg, 100); tree < floor {
+		t.Fatalf("4 cross-leaf transfers finished in %v, faster than the uplink floor %v", tree, floor)
+	}
+	e2 := sim.NewEngine()
+	if star := blast(NewFabric(e2, netCfg(), 8), e2); star >= tree {
+		t.Fatalf("star (%v) should beat the oversubscribed one-spine fat-tree (%v)", star, tree)
+	}
+}
+
+// treeCfg is the two-level tree of the topology ablation: one pod of
+// ceil(n/leaf) leaves under a single spine (and core), so each leaf of
+// leaf nodes shares one uplink to the root.
+func treeCfg(n, leaf int) config.NetworkConfig {
+	c := ftCfg()
+	pod := 1
+	if leaf > 0 {
+		pod = (n + leaf - 1) / leaf
+	}
+	c.FatTree = config.TopologyConfig{LeafSize: leaf, PodLeaves: pod, Spines: 1, Cores: 1}
+	return c
+}
+
+func TestTreeSameLeafLatency(t *testing.T) {
+	e := sim.NewEngine()
+	f := NewFatTree(e, treeCfg(8, 4), 8)
+	var arrived sim.Time
+	f.Bind(1, func(m *Message) { arrived = e.Now() })
+	e.Go("s", func(p *sim.Proc) { f.Send(&Message{Src: 0, Dst: 1, Size: 64}) })
+	e.Run()
+	// Same leaf: ser(src) + link + switch + ser(dst) + link — identical to
+	// the star path.
+	want := 2*sim.BytesAtGbps(64, 100) + 300*sim.Nanosecond
+	if arrived != want {
+		t.Fatalf("same-leaf latency = %v, want %v", arrived, want)
+	}
+}
+
+func TestTreeCrossLeafLatency(t *testing.T) {
+	e := sim.NewEngine()
+	f := NewFatTree(e, treeCfg(8, 4), 8)
+	var arrived sim.Time
+	f.Bind(5, func(m *Message) { arrived = e.Now() })
+	e.Go("s", func(p *sim.Proc) { f.Send(&Message{Src: 0, Dst: 5, Size: 64}) })
+	e.Run()
+	// Cross leaf: 4 serialization stages + 4 links + 3 switches.
+	want := 4*sim.BytesAtGbps(64, 100) + 4*100*sim.Nanosecond + 3*100*sim.Nanosecond
+	if arrived != want {
+		t.Fatalf("cross-leaf latency = %v, want %v", arrived, want)
+	}
+}
+
+func TestTreeLeafAccessors(t *testing.T) {
+	e := sim.NewEngine()
+	f := NewFatTree(e, treeCfg(10, 4), 10)
+	if f.Leaves() != 3 {
+		t.Fatalf("Leaves = %d", f.Leaves())
+	}
+	if f.Nodes() != 10 {
+		t.Fatalf("Nodes = %d", f.Nodes())
+	}
+	if f.Pods() != 1 || f.Spines() != 1 || f.Cores() != 1 {
+		t.Fatalf("shape = %d pods %d spines %d cores, want one of each", f.Pods(), f.Spines(), f.Cores())
+	}
+}
+
+// Property: the two-level tree conserves bytes and preserves per-pair
+// order under random traffic, like the star.
+func TestTreeConservationProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		e := sim.NewEngine()
+		n := rng.Intn(6) + 2
+		leaf := rng.Intn(3) + 1
+		fab := NewFatTree(e, treeCfg(n, leaf), n)
+		type pair struct{ s, d NodeID }
+		lastSeen := map[pair]int{}
+		ok := true
+		for i := 0; i < n; i++ {
+			fab.Bind(NodeID(i), func(m *Message) {
+				pr := pair{m.Src, m.Dst}
+				if seq := m.Payload.(int); seq <= lastSeen[pr] {
+					ok = false
+				} else {
+					lastSeen[pr] = seq
+				}
+			})
+		}
+		var sent int64
+		e.Go("gen", func(p *sim.Proc) {
+			for i := 1; i <= 20; i++ {
+				src, dst := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+				if src == dst {
+					continue
+				}
+				size := int64(rng.Intn(10000))
+				sent += size
+				fab.Send(&Message{Src: src, Dst: dst, Size: size, Payload: i})
+				p.Sleep(sim.Time(rng.Intn(500)) * sim.Nanosecond)
+			}
+		})
+		e.Run()
+		var delivered int64
+		for i := 0; i < n; i++ {
+			delivered += fab.BytesDelivered(NodeID(i))
+		}
+		return ok && delivered == sent
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestTreeValidation(t *testing.T) {
+	e := sim.NewEngine()
+	mustPanic := func(name string, fn func()) {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: expected panic", name)
+			}
+		}()
+		fn()
+	}
+	mustPanic("zero nodes", func() { NewFatTree(e, treeCfg(4, 4), 0) })
+	// The leaf size is now a config field: a bad one is a config error
+	// rather than a constructor panic.
+	bad := config.Default()
+	bad.Network.Topology = config.TopologyFatTree
+	bad.Network.FatTree = treeCfg(4, -1).FatTree
+	if err := bad.Validate(); err == nil {
+		t.Error("negative leaf: expected a config error")
+	}
+	f := NewFatTree(e, treeCfg(4, 2), 4)
+	mustPanic("loopback", func() { f.Send(&Message{Src: 1, Dst: 1, Size: 1}) })
+	mustPanic("range", func() { f.Send(&Message{Src: 0, Dst: 9, Size: 1}) })
+	mustPanic("negative", func() { f.Send(&Message{Src: 0, Dst: 1, Size: -1}) })
 }
 
 // Property: the fat-tree conserves bytes and preserves per-pair order

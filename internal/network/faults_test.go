@@ -9,13 +9,13 @@ import (
 )
 
 // transports builds both fabric topologies with an injector, so every fault
-// behavior is asserted at both fault points.
+// behavior is asserted at both fabrics' fault points. The fat-tree puts two
+// nodes on each leaf, so 0->3 crosses a spine.
 func transports(e *sim.Engine, n int, faults config.FaultConfig) map[string]Transport {
-	cfg := netCfg()
-	star := NewFabric(e, cfg, n)
-	cfg.TreeLeafSize = 2
-	tree := NewTreeFabric(e, cfg, n, 2)
-	m := map[string]Transport{"star": star, "tree": tree}
+	star := NewFabric(e, netCfg(), n)
+	cfg := ftCfg()
+	cfg.FatTree.LeafSize = 2
+	m := map[string]Transport{"star": star, "fattree": NewFatTree(e, cfg, n)}
 	for _, tr := range m {
 		tr.SetInjector(fault.NewInjector(faults))
 	}
@@ -158,7 +158,7 @@ func TestDegradeLatencyFactorStretchesFlightLinearly(t *testing.T) {
 			topo, tr := topo, tr
 			tr.Bind(3, func(m *Message) { out[topo] = e.Now() })
 			e.Go("send."+topo, func(p *sim.Proc) {
-				tr.Send(&Message{Src: 0, Dst: 3, Size: 64}) // cross-leaf on the tree
+				tr.Send(&Message{Src: 0, Dst: 3, Size: 64}) // cross-leaf on the fat-tree
 			})
 		}
 		e.Run()
@@ -199,6 +199,31 @@ func TestPartitionBlackholeSuppressesDelivery(t *testing.T) {
 		}
 		if tr.MessagesLost() != 2 {
 			t.Fatalf("%s: MessagesLost = %d, want 2", topo, tr.MessagesLost())
+		}
+	}
+}
+
+// Silent wire corruption is drawn at the shared fault point, so both
+// fabrics flip payload bits past a green link checksum: the message
+// delivers, SilentCorrupt set, Corrupted clear.
+func TestSDCWireFlipsOnEveryFabric(t *testing.T) {
+	e := sim.NewEngine()
+	wire := config.FaultConfig{SDC: config.SDCConfig{Seed: 3, WireProb: 1.0}}
+	for topo, tr := range transports(e, 4, wire) {
+		var got *Message
+		tr.Bind(3, func(m *Message) { got = m })
+		e.Go("send."+topo, func(p *sim.Proc) {
+			tr.Send(&Message{Src: 0, Dst: 3, Size: 64})
+		})
+		e.Run()
+		if got == nil {
+			t.Fatalf("%s: silently corrupted message not delivered", topo)
+		}
+		if !got.SilentCorrupt || got.Corrupted {
+			t.Fatalf("%s: SilentCorrupt=%v Corrupted=%v, want a silent flip only", topo, got.SilentCorrupt, got.Corrupted)
+		}
+		if tr.MessagesCorrupted() != 0 {
+			t.Fatalf("%s: MessagesCorrupted = %d, silent flips must not count as link corruption", topo, tr.MessagesCorrupted())
 		}
 	}
 }

@@ -9,8 +9,8 @@ import (
 
 // TestLookaheadPerTopology pins the conservative synchronization window to
 // the cheapest per-hop flight of each topology: the star pays link + switch
-// on its only hop, while the multi-hop fabrics' final ingress hop pays
-// propagation only, so their window must shrink to LinkLatency alone.
+// on its only hop, while the fat-tree's final ingress hop pays propagation
+// only, so its window must shrink to LinkLatency alone.
 func TestLookaheadPerTopology(t *testing.T) {
 	cfg := config.Default().Network
 	link, sw := cfg.LinkLatency, cfg.SwitchLatency
@@ -23,7 +23,6 @@ func TestLookaheadPerTopology(t *testing.T) {
 	}{
 		{"", link + sw}, // unset = star
 		{config.TopologyStar, link + sw},
-		{config.TopologyTree, link},
 		{config.TopologyFatTree, link},
 	}
 	for _, tc := range cases {

@@ -7,6 +7,10 @@
 // destination contention), and propagates over the destination link. The
 // fabric preserves packet — and therefore message — order per (src, dst)
 // pair and conserves bandwidth on every port.
+//
+// The multi-tier FatTree (fattree.go) is the package's other Transport;
+// both fabrics embed the same per-node counter ledger and call the same
+// fault point (ledger.go).
 package network
 
 import (
@@ -17,6 +21,36 @@ import (
 	"repro/internal/fault"
 	"repro/internal/sim"
 )
+
+// Transport is the interface NICs speak to an interconnect. The star
+// Fabric of Table 2 and the multi-tier FatTree both satisfy it, so
+// experiments can swap topologies without touching the NIC model.
+type Transport interface {
+	// Bind installs the delivery handler for a node.
+	Bind(id NodeID, h Handler)
+	// Send injects a message (asynchronous; no loopback).
+	Send(m *Message)
+	// Nodes returns the port count.
+	Nodes() int
+	// BytesSent / BytesDelivered / MessagesDelivered report accounting.
+	BytesSent(id NodeID) int64
+	BytesDelivered(id NodeID) int64
+	MessagesDelivered(id NodeID) int64
+	// LastDelivery reports the most recent delivery time.
+	LastDelivery() sim.Time
+	// SetInjector installs a fault injector (nil = lossless).
+	SetInjector(in *fault.Injector)
+	// SetAuditor installs the invariant auditor's message-conservation
+	// hooks (nil = no-op).
+	SetAuditor(a *audit.Auditor)
+	// PacketsDropped / MessagesLost / MessagesCorrupted report injected
+	// fault accounting; all zero on a lossless fabric.
+	PacketsDropped() int64
+	MessagesLost() int64
+	MessagesCorrupted() int64
+}
+
+var _ Transport = (*Fabric)(nil)
 
 // NodeID identifies a node (port) on the fabric.
 type NodeID int
@@ -121,10 +155,8 @@ func (pq *port) empty() bool { return pq.head == len(pq.q) }
 // packet's delivery on the destination side, which the flight event
 // happens-before — so sharing *Message across shards is race-free.
 type Fabric struct {
-	eng *sim.Engine
+	ledger
 	cfg config.NetworkConfig
-	inj *fault.Injector
-	au  *audit.Auditor
 
 	// engs[i] is the engine owning node i's ports; lanes[i] its event lane.
 	// Default: every node on the construction engine, lane 0 (the serial
@@ -133,19 +165,8 @@ type Fabric struct {
 	lanes []uint32
 	sh    *sim.Sharded
 
-	egress   []port // per-source injection stage
-	ingress  []port // per-destination switch output stage
-	handlers []Handler
-
-	bytesSent      []int64
-	bytesDelivered []int64
-	msgsDelivered  []int64
-	pktsDropped    []int64    // by source node (the fault point)
-	msgsLost       []int64    // by source node
-	msgsCorrupted  []int64    // by source node
-	firstSend      []sim.Time // by source node
-	anyTraffic     []bool     // by source node
-	lastDelivery   []sim.Time // by destination node
+	egress  []port // per-source injection stage
+	ingress []port // per-destination switch output stage
 
 	// pktFree[i] recycles packet objects for node i. A packet is drawn
 	// from its source's list in Send and returned to whichever node's
@@ -161,23 +182,13 @@ func NewFabric(eng *sim.Engine, cfg config.NetworkConfig, n int) *Fabric {
 		panic("network: fabric needs at least one node")
 	}
 	f := &Fabric{
-		eng:            eng,
-		cfg:            cfg,
-		engs:           make([]*sim.Engine, n),
-		lanes:          make([]uint32, n),
-		egress:         make([]port, n),
-		ingress:        make([]port, n),
-		handlers:       make([]Handler, n),
-		bytesSent:      make([]int64, n),
-		bytesDelivered: make([]int64, n),
-		msgsDelivered:  make([]int64, n),
-		pktsDropped:    make([]int64, n),
-		msgsLost:       make([]int64, n),
-		msgsCorrupted:  make([]int64, n),
-		firstSend:      make([]sim.Time, n),
-		anyTraffic:     make([]bool, n),
-		lastDelivery:   make([]sim.Time, n),
-		pktFree:        make([][]*packet, n),
+		ledger:  newLedger(n),
+		cfg:     cfg,
+		engs:    make([]*sim.Engine, n),
+		lanes:   make([]uint32, n),
+		egress:  make([]port, n),
+		ingress: make([]port, n),
+		pktFree: make([][]*packet, n),
 	}
 	for i := 0; i < n; i++ {
 		i := i
@@ -219,18 +230,16 @@ func (f *Fabric) freePacket(owner int, p *packet) {
 // Lookahead returns the minimum cross-node interaction latency of the
 // active topology under cfg — the smallest per-hop flight any packet pays
 // between two nodes' engines. On the star that is the single switch
-// flight (link propagation + switch traversal); on the multi-hop tree and
-// fat-tree fabrics the final ingress hop pays propagation only, so the
-// window must shrink to LinkLatency alone. Degradation and jitter only
-// stretch a hop (DelayFactor ≥ 1, Delay ≥ 0), so this bounds the
-// conservative synchronization window of a sharded run from below.
+// flight (link propagation + switch traversal); on the fat-tree the final
+// ingress hop pays propagation only, so the window must shrink to
+// LinkLatency alone. Degradation and jitter only stretch a hop
+// (DelayFactor ≥ 1, Delay ≥ 0), so this bounds the conservative
+// synchronization window of a sharded run from below.
 func Lookahead(cfg config.NetworkConfig) sim.Time {
-	switch cfg.Topology {
-	case config.TopologyTree, config.TopologyFatTree:
+	if cfg.Topology == config.TopologyFatTree {
 		return cfg.LinkLatency
-	default:
-		return cfg.LinkLatency + cfg.SwitchLatency
 	}
+	return cfg.LinkLatency + cfg.SwitchLatency
 }
 
 // SetSharding partitions the fabric's nodes across a sharded engine group:
@@ -249,49 +258,12 @@ func (f *Fabric) SetSharding(sh *sim.Sharded, engOf []*sim.Engine, laneOf []uint
 	copy(f.lanes, laneOf)
 }
 
-// Nodes returns the number of ports.
-func (f *Fabric) Nodes() int { return len(f.handlers) }
-
-// Bind installs the delivery handler for a node.
-func (f *Fabric) Bind(id NodeID, h Handler) {
-	f.handlers[id] = h
-}
-
-// SetInjector installs the fault injector. A nil injector (the default)
-// keeps the fabric lossless.
-func (f *Fabric) SetInjector(in *fault.Injector) { f.inj = in }
-
-// SetAuditor installs the invariant auditor's per-pair message
-// conservation hooks (sends and losses counted by the source engine,
-// deliveries by the destination engine — the fabric's own cell-ownership
-// discipline). Nil keeps the hooks no-ops.
-func (f *Fabric) SetAuditor(a *audit.Auditor) { f.au = a }
-
 // Send injects a message. It is asynchronous: the call returns immediately
-// and delivery happens via the destination handler. Sending to self is
-// rejected — loopback is the NIC model's job, not the fabric's.
+// and delivery happens via the destination handler.
 func (f *Fabric) Send(m *Message) {
-	if int(m.Src) < 0 || int(m.Src) >= len(f.handlers) || int(m.Dst) < 0 || int(m.Dst) >= len(f.handlers) {
-		panic(fmt.Sprintf("network: send %d->%d outside fabric of %d nodes", m.Src, m.Dst, len(f.handlers)))
-	}
-	if m.Src == m.Dst {
-		panic("network: fabric does not route loopback traffic")
-	}
-	if m.Size < 0 {
-		panic("network: negative message size")
-	}
-	if f.handlers[m.Dst] == nil {
-		panic(fmt.Sprintf("network: send %d->%d but no handler is bound for node %d (call Bind before sending)", m.Src, m.Dst, m.Dst))
-	}
 	src := int(m.Src)
+	f.admit(m)
 	m.SentAt = f.engs[src].Now()
-	if !f.anyTraffic[src] || m.SentAt < f.firstSend[src] {
-		f.firstSend[src] = m.SentAt
-	}
-	f.anyTraffic[src] = true
-	f.bytesSent[src] += m.Size
-	f.au.MessageSent(src, int(m.Dst))
-
 	remaining := m.Size
 	for {
 		chunk := remaining
@@ -301,13 +273,13 @@ func (f *Fabric) Send(m *Message) {
 		remaining -= chunk
 		pkt := f.newPacket(src)
 		pkt.msg, pkt.bytes, pkt.last, pkt.dst = m, chunk, remaining == 0, int(m.Dst)
-		f.egress[m.Src].push(pkt)
+		f.egress[src].push(pkt)
 		if remaining == 0 {
 			break
 		}
 	}
-	if f.egress[m.Src].cur == nil {
-		f.egressStart(int(m.Src))
+	if f.egress[src].cur == nil {
+		f.egressStart(src)
 	}
 }
 
@@ -320,49 +292,14 @@ func (f *Fabric) egressStart(portID int) {
 	f.engs[portID].After(sim.BytesAtGbps(pq.cur.bytes, f.cfg.BandwidthGbps), pq.done)
 }
 
-// egressDone finishes one packet's source-port serialization and launches
-// it toward the switch.
+// egressDone finishes one packet's source-port serialization and, past the
+// fault point, launches it toward the switch.
 func (f *Fabric) egressDone(portID int) {
 	pq := &f.egress[portID]
 	pkt := pq.cur
 	pq.cur = nil
-	// Fault-injection point: the packet has consumed its serialization
-	// time on the source port (a dropped packet still wasted that
-	// bandwidth) and is about to enter the switch.
 	se := f.engs[portID]
-	flight := f.cfg.LinkLatency + f.cfg.SwitchLatency
-	dropped := false
-	if f.inj != nil {
-		fate := f.inj.Packet(se.Now(), int(pkt.msg.Src), int(pkt.msg.Dst))
-		if fate.Drop {
-			f.pktsDropped[portID]++
-			if !pkt.msg.damaged {
-				pkt.msg.damaged = true
-				f.msgsLost[portID]++
-				f.au.MessageLost(portID, pkt.dst)
-			}
-			dropped = true
-		} else {
-			if fate.Corrupt && !pkt.msg.Corrupted {
-				pkt.msg.Corrupted = true
-				f.msgsCorrupted[portID]++
-			}
-			// Silent wire corruption: the payload bits flip but the link
-			// checksum stays green, so the Corrupted flag is NOT set and
-			// the frame delivers normally. Drawn from the SDC plan's
-			// private RNG so arming it never shifts the injector stream.
-			if f.inj.SDC().WirePacket(se.Now(), int(pkt.msg.Src), int(pkt.msg.Dst)) {
-				pkt.msg.SilentCorrupt = true
-			}
-			if fate.DelayFactor > 1 {
-				// Link degradation stretches propagation + switching, not
-				// serialization: the port drained at full rate, the medium
-				// is what got slow.
-				flight = sim.Time(float64(flight) * fate.DelayFactor)
-			}
-			flight += fate.Delay
-		}
-	}
+	flight, dropped := f.faultPoint(se.Now(), pkt.msg, f.cfg.LinkLatency+f.cfg.SwitchLatency)
 	if dropped {
 		f.freePacket(portID, pkt)
 	} else {
@@ -406,103 +343,11 @@ func (f *Fabric) ingressDone(portID int) {
 }
 
 // deliverPacket lands one packet at its destination after the final link
-// propagation, handing complete messages to the bound handler. The packet
-// is recycled here (the handler may immediately reuse it for a reply).
+// propagation. The packet is recycled before the handler runs (the handler
+// may immediately reuse it for a reply).
 func (f *Fabric) deliverPacket(pkt *packet) {
-	portID := pkt.dst
-	last, m := pkt.last, pkt.msg
-	f.bytesDelivered[portID] += pkt.bytes
-	f.freePacket(portID, pkt)
-	if !last {
-		return
-	}
-	if m.damaged {
-		// At least one packet of the message was dropped: the message
-		// never completes at the receiver.
-		return
-	}
-	f.msgsDelivered[portID]++
-	f.lastDelivery[portID] = f.engs[portID].Now()
-	f.au.MessageDelivered(int(m.Src), portID)
-	h := f.handlers[portID]
-	if h == nil {
-		panic(fmt.Sprintf("network: no handler bound for node %d", portID))
-	}
-	h(m)
+	dst := pkt.dst
+	m, bytes, last := pkt.msg, pkt.bytes, pkt.last
+	f.freePacket(dst, pkt)
+	f.deliver(m, bytes, last, f.engs[dst].Now())
 }
-
-// UnloadedLatency returns the end-to-end latency of a message of the given
-// size on an idle fabric: ser(src) + link + switch + ser(dst) + link.
-func (f *Fabric) UnloadedLatency(size int64) sim.Time {
-	ser := func(n int64) sim.Time {
-		var t sim.Time
-		for n > 0 {
-			chunk := n
-			if chunk > f.cfg.MTUBytes {
-				chunk = f.cfg.MTUBytes
-			}
-			t += sim.BytesAtGbps(chunk, f.cfg.BandwidthGbps)
-			n -= chunk
-		}
-		return t
-	}
-	// With >MTU messages the two serialization stages pipeline; the
-	// end-to-end time is first-stage full serialization + one more MTU on
-	// the second stage. For single-packet messages it is simply 2x ser.
-	full := ser(size)
-	lastChunk := size % f.cfg.MTUBytes
-	if lastChunk == 0 {
-		lastChunk = min64(size, f.cfg.MTUBytes)
-	}
-	return full + sim.BytesAtGbps(lastChunk, f.cfg.BandwidthGbps) +
-		2*f.cfg.LinkLatency + f.cfg.SwitchLatency
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// BytesSent returns the bytes injected by a node.
-func (f *Fabric) BytesSent(id NodeID) int64 { return f.bytesSent[id] }
-
-// BytesDelivered returns the bytes delivered to a node.
-func (f *Fabric) BytesDelivered(id NodeID) int64 { return f.bytesDelivered[id] }
-
-// MessagesDelivered returns the count of complete messages delivered to a node.
-func (f *Fabric) MessagesDelivered(id NodeID) int64 { return f.msgsDelivered[id] }
-
-// The fault and delivery-time counters are kept per owning node so shards
-// never contend on them; the Transport accessors aggregate on read. They are
-// meant to be read between runs (reporting), not from concurrent model code.
-
-// LastDelivery returns the time of the most recent message delivery.
-func (f *Fabric) LastDelivery() sim.Time {
-	var last sim.Time
-	for _, t := range f.lastDelivery {
-		if t > last {
-			last = t
-		}
-	}
-	return last
-}
-
-func sum64(xs []int64) int64 {
-	var s int64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// PacketsDropped returns the number of packets the fault injector dropped.
-func (f *Fabric) PacketsDropped() int64 { return sum64(f.pktsDropped) }
-
-// MessagesLost returns the number of messages that lost at least one packet
-// and were therefore never delivered.
-func (f *Fabric) MessagesLost() int64 { return sum64(f.msgsLost) }
-
-// MessagesCorrupted returns the number of messages flagged corrupt in flight.
-func (f *Fabric) MessagesCorrupted() int64 { return sum64(f.msgsCorrupted) }

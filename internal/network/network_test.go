@@ -35,9 +35,6 @@ func TestSingleMessageLatency(t *testing.T) {
 	if arrived != want {
 		t.Fatalf("arrived = %v ps, want %v ps", int64(arrived), int64(want))
 	}
-	if got := f.UnloadedLatency(64); got != want {
-		t.Fatalf("UnloadedLatency(64) = %v, want %v", got, want)
-	}
 }
 
 func TestZeroByteMessage(t *testing.T) {
@@ -65,9 +62,6 @@ func TestMultiPacketPipelining(t *testing.T) {
 	want := 4*ser + 300*sim.Nanosecond
 	if arrived != want {
 		t.Fatalf("arrived = %v, want %v", arrived, want)
-	}
-	if f.UnloadedLatency(size) != want {
-		t.Fatalf("UnloadedLatency = %v, want %v", f.UnloadedLatency(size), want)
 	}
 }
 

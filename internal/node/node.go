@@ -1,6 +1,6 @@
 // Package node composes the simulated subsystems — host CPU, GPU, RDMA NIC
 // with GPU-TN trigger hardware, and the Portals-style runtime — into nodes,
-// and wires nodes into a cluster over the star-topology fabric.
+// and wires nodes into a cluster over the star or fat-tree fabric.
 package node
 
 import (
@@ -163,23 +163,22 @@ func (c *Cluster) NextCollectiveGen() int64 {
 	return c.collectiveGen
 }
 
-// NewCluster builds an n-node cluster from the configuration. The
-// configuration is validated; experiment drivers pass mutated presets.
-// The topology is selected by cfg.Network.Topology: the Table 2 star by
-// default, or a two-level tree with cfg.Network.TreeLeafSize nodes per
-// leaf switch.
 // serialRequired reports whether the configuration uses a feature that
-// needs one global event order — heartbeat membership, crash schedules, and
-// the tree topology all mutate cross-node state through direct calls, not
-// fabric messages, so they cannot be split across engines. A lane-assigned
-// cluster with such a feature runs on a single engine regardless of
-// cfg.Shards, which keeps every shard count trivially identical.
+// needs one global event order. Heartbeat membership and crash schedules
+// mutate cross-node state through direct calls, not fabric messages, and
+// the fat-tree's switch ports are shared by every node pair, so none of
+// them can be split across engines. A lane-assigned cluster with such a
+// feature runs on a single engine regardless of cfg.Shards, which keeps
+// every shard count trivially identical.
 func serialRequired(cfg *config.SystemConfig) bool {
 	return cfg.Health.Enabled || cfg.Crash.Enabled() ||
-		cfg.Network.Topology == config.TopologyTree ||
 		cfg.Network.Topology == config.TopologyFatTree
 }
 
+// NewCluster builds an n-node cluster from the configuration. The
+// configuration is validated; experiment drivers pass mutated presets.
+// The topology is selected by cfg.Network.Topology: the Table 2 star by
+// default, or the fat-tree shaped by cfg.Network.FatTree.
 func NewCluster(cfg config.SystemConfig, n int) *Cluster {
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("node: %v", err))
@@ -237,13 +236,9 @@ func NewCluster(cfg config.SystemConfig, n int) *Cluster {
 			star.SetSharding(sharded, engTab, laneTab)
 		}
 		fab = star
-	case config.TopologyTree:
-		// serialRequired keeps tree clusters on one engine; flights inherit
-		// the sender's lane, which is deterministic on a single engine.
-		fab = network.NewTreeFabric(eng, cfg.Network, n, cfg.Network.TreeLeafSize)
 	case config.TopologyFatTree:
-		// Like the tree, the fat-tree's shared switch ports force a single
-		// engine (serialRequired), so every shard count runs identically.
+		// The fat-tree's shared switch ports force a single engine
+		// (serialRequired), so every shard count runs identically.
 		fab = network.NewFatTree(eng, cfg.Network, n)
 	default:
 		panic(fmt.Sprintf("node: unknown topology %q", cfg.Network.Topology))

@@ -198,25 +198,6 @@ func TestClusterWiresInjectorAndReportsFaults(t *testing.T) {
 	}
 }
 
-func TestTreeTopologyCluster(t *testing.T) {
-	cfg := config.Default()
-	cfg.Network.Topology = config.TopologyTree
-	cfg.Network.TreeLeafSize = 2
-	c := NewCluster(cfg, 4)
-	n0, n3 := c.Nodes[0], c.Nodes[3]
-	ct := n3.Ptl.CTAlloc()
-	n3.Ptl.MEAppend(&portals.ME{MatchBits: 0x1, Length: 64, CT: ct})
-	c.Eng.Go("h", func(p *sim.Proc) {
-		md := n0.Ptl.MDBind("b", 64, nil, nil)
-		n0.Ptl.Put(p, md, 64, 3, 0x1)
-		ct.Wait(p, 1)
-	})
-	c.Run()
-	if ct.Value() != 1 {
-		t.Fatal("cross-leaf put never delivered")
-	}
-}
-
 func TestUnknownTopologyRejected(t *testing.T) {
 	cfg := config.Default()
 	cfg.Network.Topology = "mesh"
