@@ -19,7 +19,7 @@
 //     Predicate at dispatch: SrcEpoch >= view(src) && DstEpoch == inc.
 //   - conservation: per (src, dst) peer pair, messages sent equals
 //     messages delivered plus counted losses, once the run has drained.
-//     Predicate at Finish: sends[s][d] == delivers[s][d] + lost[s][d].
+//     Predicate at Finish: sent(s,d) == delivered(s,d) + lost(s,d).
 //   - single-majority: every adopted membership view holds a strict
 //     majority of the non-suspect population, and a given view ID never
 //     names two different member sets. Predicate at view adoption:
@@ -29,14 +29,16 @@
 //     membership. Predicate at success: out[i] == Σ_alive in[r][i].
 //
 // Concurrency: per-node state is only ever touched from the owning node's
-// engine (the same ownership discipline the fabric uses), conservation
-// matrices split cell ownership between src and dst engines, and the
-// cross-node checks run in Finish after the run drains — so the auditor
-// adds no synchronization to laned runs and never perturbs event order.
+// engine (the same ownership discipline the fabric uses), the sparse
+// conservation ledger splits cell ownership between src and dst nodes,
+// and the cross-node checks run in Finish after the run drains — so the
+// auditor adds no synchronization to laned runs and never perturbs event
+// order.
 package audit
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -88,6 +90,12 @@ type nodeState struct {
 	fired      map[uint64]bool // live fired registration instances
 	violations []Violation
 	dropped    int
+
+	// Sparse conservation ledger: a cell exists only once its pair has
+	// traffic. sent and lost are keyed by destination and written as the
+	// source node; delivered is keyed by source and written as the
+	// destination node — disjoint ownership, no synchronization needed.
+	sent, lost, delivered map[int]int64
 }
 
 // Auditor holds the invariant state for one cluster. Create with New;
@@ -96,11 +104,6 @@ type nodeState struct {
 type Auditor struct {
 	n     int
 	nodes []nodeState
-
-	// Conservation matrices, [src][dst]. sends and lost cells are written
-	// by the src engine, delivers cells by the dst engine — disjoint
-	// ownership, no synchronization needed.
-	sends, delivers, lost [][]int64
 
 	// Per-switch hop ledgers (RegisterHops): frames entering, leaving,
 	// and dropped-with-reason at each switch of a multi-hop fabric.
@@ -120,18 +123,16 @@ type Auditor struct {
 // New creates an auditor for an n-node cluster.
 func New(n int) *Auditor {
 	a := &Auditor{
-		n:        n,
-		nodes:    make([]nodeState, n),
-		sends:    make([][]int64, n),
-		delivers: make([][]int64, n),
-		lost:     make([][]int64, n),
-		views:    map[uint64]string{},
+		n:     n,
+		nodes: make([]nodeState, n),
+		views: map[uint64]string{},
 	}
 	for i := range a.nodes {
-		a.nodes[i].fired = map[uint64]bool{}
-		a.sends[i] = make([]int64, n)
-		a.delivers[i] = make([]int64, n)
-		a.lost[i] = make([]int64, n)
+		st := &a.nodes[i]
+		st.fired = map[uint64]bool{}
+		st.sent = map[int]int64{}
+		st.lost = map[int]int64{}
+		st.delivered = map[int]int64{}
 	}
 	return a
 }
@@ -245,7 +246,7 @@ func (a *Auditor) MessageSent(src, dst int) {
 	if a == nil {
 		return
 	}
-	a.sends[src][dst]++
+	a.nodes[src].sent[dst]++
 }
 
 // MessageDelivered counts a complete message handed to dst's handler.
@@ -254,7 +255,7 @@ func (a *Auditor) MessageDelivered(src, dst int) {
 	if a == nil {
 		return
 	}
-	a.delivers[src][dst]++
+	a.nodes[dst].delivered[src]++
 }
 
 // MessageLost counts a message that lost at least one packet and will
@@ -263,7 +264,7 @@ func (a *Auditor) MessageLost(src, dst int) {
 	if a == nil {
 		return
 	}
-	a.lost[src][dst]++
+	a.nodes[src].lost[dst]++
 }
 
 // --- Per-hop (switch) conservation hooks ----------------------------------
@@ -375,17 +376,19 @@ func (a *Auditor) Finish(now sim.Time, quiescent bool) {
 		return
 	}
 	a.finished = true
-	for s := 0; s < a.n; s++ {
-		for d := 0; d < a.n; d++ {
-			a.globalChecks++
-			sent, got, lost := a.sends[s][d], a.delivers[s][d], a.lost[s][d]
-			if got+lost > sent {
-				a.globalViolation(now, CheckConservation,
-					"pair %d->%d: %d delivered + %d lost exceeds %d sent", s, d, got, lost, sent)
-			} else if quiescent && got+lost < sent {
-				a.globalViolation(now, CheckConservation,
-					"pair %d->%d: %d sent but only %d delivered + %d lost after drain", s, d, sent, got, lost)
-			}
+	// Every (src, dst) pair is one check; a pair with no cell on either
+	// side balances at 0 = 0 + 0, so only touched pairs are visited.
+	a.globalChecks += int64(a.n) * int64(a.n)
+	for _, pair := range a.touchedPairs() {
+		s, d := int(pair>>32), int(uint32(pair))
+		sent, lost := a.nodes[s].sent[d], a.nodes[s].lost[d]
+		got := a.nodes[d].delivered[s]
+		if got+lost > sent {
+			a.globalViolation(now, CheckConservation,
+				"pair %d->%d: %d delivered + %d lost exceeds %d sent", s, d, got, lost, sent)
+		} else if quiescent && got+lost < sent {
+			a.globalViolation(now, CheckConservation,
+				"pair %d->%d: %d sent but only %d delivered + %d lost after drain", s, d, sent, got, lost)
 		}
 	}
 	for sw := range a.hopIn {
@@ -399,6 +402,28 @@ func (a *Auditor) Finish(now sim.Time, quiescent bool) {
 				"switch %d: %d entered but only %d forwarded + %d dropped after drain", sw, in, out, dropped)
 		}
 	}
+}
+
+// touchedPairs returns every (src, dst) pair with a conservation cell on
+// either side, packed src<<32|dst, in (src, dst) order. A pair delivered
+// to but never sent on exists only in the destination's ledger, so both
+// sides are collected.
+func (a *Auditor) touchedPairs() []uint64 {
+	var pairs []uint64
+	for i := range a.nodes {
+		st := &a.nodes[i]
+		for d := range st.sent {
+			pairs = append(pairs, uint64(i)<<32|uint64(d))
+		}
+		for d := range st.lost {
+			pairs = append(pairs, uint64(i)<<32|uint64(d))
+		}
+		for s := range st.delivered {
+			pairs = append(pairs, uint64(s)<<32|uint64(i))
+		}
+	}
+	slices.Sort(pairs)
+	return slices.Compact(pairs)
 }
 
 // ChecksEvaluated returns the total predicate evaluations. Deterministic

@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -128,6 +129,49 @@ func TestConservation(t *testing.T) {
 	d.MessageDelivered(0, 1)
 	d.Finish(100, false)
 	wantViolations(t, d, CheckConservation, 1)
+}
+
+// The sparse ledger must still catch every imbalance, including a pair
+// that exists only on the delivering side, and report the pairs in (src,
+// dst) order with the same text and check count as a dense n×n scan.
+func TestConservationSparsePairs(t *testing.T) {
+	a := New(4)
+	a.MessageDelivered(3, 0) // delivered, never sent: only node 0 has the cell
+	a.MessageSent(1, 2)      // sent, never delivered or lost
+	a.MessageSent(0, 3)
+	a.MessageDelivered(0, 3)
+	a.MessageDelivered(0, 3) // double delivery
+	a.MessageSent(2, 1)      // balanced by a loss
+	a.MessageLost(2, 1)
+	a.Finish(100, true)
+	vs := wantViolations(t, a, CheckConservation, 3)
+	want := []string{
+		"pair 0->3: 2 delivered + 0 lost exceeds 1 sent",
+		"pair 1->2: 1 sent but only 0 delivered + 0 lost after drain",
+		"pair 3->0: 1 delivered + 0 lost exceeds 0 sent",
+	}
+	for i, v := range vs {
+		if v.Detail != want[i] {
+			t.Errorf("violation %d = %q, want %q", i, v.Detail, want[i])
+		}
+	}
+	if got := a.ChecksEvaluated(); got != 16 {
+		t.Errorf("ChecksEvaluated() = %d, want 16 (every pair of 4 nodes)", got)
+	}
+}
+
+// New must not allocate per pair: a 4096-node dense ledger was three
+// 4096×4096 int64 matrices, about 400 MB.
+func TestNewIsLinearInNodes(t *testing.T) {
+	const n = 4096
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	a := New(n)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(a)
+	if perNode := (after.TotalAlloc - before.TotalAlloc) / n; perNode > 2048 {
+		t.Errorf("New(%d) allocated %d bytes per node, want O(1) (≤ 2048)", n, perNode)
+	}
 }
 
 func TestFinishIdempotent(t *testing.T) {

@@ -58,3 +58,33 @@ func BenchmarkScheduleCancel(b *testing.B) {
 		e.step()
 	}
 }
+
+// BenchmarkProcSwitch measures one process switch round trip: a Sleep(1)
+// parks the process, the engine pops its wake and resumes it.
+func BenchmarkProcSwitch(b *testing.B) {
+	e := NewEngine()
+	e.Go("sleeper", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(1)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkProcSpawn measures a short-lived process's whole life on a
+// running engine: spawn, first dispatch, and return.
+func BenchmarkProcSpawn(b *testing.B) {
+	e := NewEngine()
+	fn := func(*Proc) {}
+	e.Go("spawner", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			e.Go("short", fn)
+			p.Sleep(1)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}

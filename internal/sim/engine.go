@@ -112,10 +112,11 @@ func (ev Event) Cancelled() bool {
 }
 
 // Engine is a deterministic discrete-event simulator. It is not safe for
-// concurrent use; all model code runs on the engine's goroutine (process
-// goroutines are strictly hand-off scheduled, so at most one piece of model
-// code executes at any instant). Independent engines are fully isolated, so
-// separate replicas may run on separate OS threads.
+// concurrent use; all model code runs on the engine's goroutine or in a
+// process coroutine the engine has resumed and is blocked on (coroutines
+// hand control back and forth, never run in parallel), so at most one
+// piece of model code executes at any instant. Independent engines are
+// fully isolated, so separate replicas may run on separate OS threads.
 type Engine struct {
 	now Time
 
@@ -149,10 +150,13 @@ type Engine struct {
 	nowq     []int32
 	nowqHead int
 
-	// process bookkeeping
-	parked  chan procYield
-	nprocs  int
-	procs   []*Proc
+	// procs lists spawned processes in spawn order for the watchdog; dead
+	// ones are compacted out when len reaches procsCompactAt (addProc).
+	procs          []*Proc
+	procsCompactAt int
+	// idle holds coroutines whose process has returned, ready for the
+	// next spawn (see coro).
+	idle    []*coro
 	stopped bool
 
 	// Trace, when non-nil, receives a line per executed labeled event. Used
@@ -162,7 +166,7 @@ type Engine struct {
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
-	return &Engine{parked: make(chan procYield)}
+	return &Engine{}
 }
 
 // Now returns the current simulation time.
@@ -387,6 +391,7 @@ func (e *Engine) Run() {
 	}
 	e.curLane = 0
 	totalExecuted.Add(e.executed - start)
+	e.stopIdle()
 }
 
 // RunWindow executes events with time strictly before end, leaving later
@@ -428,6 +433,7 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 	e.curLane = 0
 	totalExecuted.Add(e.executed - start)
+	e.stopIdle()
 	if e.now < deadline {
 		e.now = deadline
 	}

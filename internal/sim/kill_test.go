@@ -146,7 +146,7 @@ func TestOnExitRunsOnKillBeforeFirstDispatch(t *testing.T) {
 }
 
 // Kill is idempotent and a killed process counts as Dead immediately, even
-// before its goroutine unwinds.
+// before it unwinds.
 func TestKillIdempotentAndImmediatelyDead(t *testing.T) {
 	e := NewEngine()
 	p := e.Go("victim", func(p *Proc) { p.Sleep(10 * Microsecond) })

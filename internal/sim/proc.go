@@ -1,31 +1,37 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
-	"runtime"
+	"iter"
 )
 
-// procYield is the message a process goroutine sends back to the engine
-// when it parks (blocks) or terminates.
-type procYield struct {
-	p        *Proc
-	done     bool
-	panicked any
-}
-
-// Proc is a simulated process: a goroutine whose execution is strictly
-// interleaved with the event loop. At most one process (or event callback)
-// runs at a time, so model code needs no locking and behaves
-// deterministically.
+// Proc is a simulated process: a body run on a coroutine (iter.Pull) whose
+// execution is strictly interleaved with the event loop. The engine resumes
+// it with the coroutine's next and it hands control back with yield, so at
+// most one process (or event callback) runs at a time, model code needs no
+// locking, and behaves deterministically.
 //
 // A process blocks by calling one of the park-based primitives (Sleep,
 // Signal.Wait, Queue.Pop, ...). While parked it consumes no simulated time
 // beyond what the wakeup condition implies.
+//
+// Model code must not recover() the kill sentinel: Engine.Kill unwinds a
+// parked process by panicking with it, and a process that swallowed it
+// would keep running after its node crashed.
 type Proc struct {
-	eng    *Engine
-	name   string
-	resume chan struct{}
-	dead   bool
+	eng  *Engine
+	name string
+	// fn is the process body and co the coroutine running it, assigned at
+	// first dispatch. Both are dropped when the process exits so a dead
+	// process retains none of its closures.
+	fn func(p *Proc)
+	co *coro
+	// panicked holds a model panic recovered at the coroutine boundary,
+	// re-raised on the engine's goroutine once onExit has run.
+	panicked any
+	dead     bool
 	// killed marks a process condemned by Engine.Kill; it exits at its
 	// next resume instead of running model code.
 	killed bool
@@ -40,16 +46,52 @@ type Proc struct {
 	// park fast path allocates nothing.
 	waiting *waitState
 	waitBuf waitState
-	// onExit callbacks run when the goroutine terminates for any reason —
-	// normal return, panic, or a Kill that lands before the body ever ran
-	// (when function-level defers do not exist yet). Join counting uses
-	// this to stay accurate across crashes.
+	// onExit callbacks run when the process terminates for any reason —
+	// normal return, panic, or a Kill (including one that lands before the
+	// body ever ran, when no coroutine exists yet). They run after the
+	// body's deferred functions. Join counting uses this to stay accurate
+	// across crashes.
 	onExit []func()
 	// lane is the execution lane every event scheduled for this process
 	// runs under (and therefore the birth lane of events the process
 	// schedules while running). Fixed at spawn time.
 	lane uint32
 }
+
+// coro is a process coroutine. It outlives the process it runs: when a
+// body returns, the coroutine goes back on its engine's idle list and runs
+// the next process dispatched for the first time. A new iter.Pull costs a
+// goroutine and about a dozen allocations, and under the race detector an
+// exited coroutine's detector state is never freed (Go 1.24's coroexit
+// skips racegoend), so reuse keeps both costs per peak process count, not
+// per spawn. Run, RunUntil and the Sharded runs stop the idle coroutines
+// before returning, so none outlives a run.
+type coro struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	// p is the process running on the coroutine; nil once its body has
+	// returned (the coroutine is then idle).
+	p *Proc
+}
+
+// loop is the coroutine body: run the assigned process, then wait idle
+// for the next one until stopped.
+func (c *coro) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	for {
+		c.p.run()
+		c.p = nil
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// procKilled is the sentinel park panics with in a killed process. It is
+// recovered at the coroutine boundary (Proc.run) and never reaches the
+// engine.
+type procKilled struct{}
 
 // Lane returns the process's execution lane.
 func (p *Proc) Lane() uint32 { return p.lane }
@@ -76,45 +118,49 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 
 // GoLane spawns a process pinned to an explicit execution lane. All events
 // that resume the process, and all events it schedules while running, carry
-// this lane.
+// this lane. The process gets no coroutine until it is first dispatched.
 func (e *Engine) GoLane(lane uint32, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		resume: make(chan struct{}),
-		lane:   lane,
-	}
-	e.nprocs++
-	e.procs = append(e.procs, p)
-	go func() {
-		var panicked any
-		// The termination yield is sent from a goroutine-level defer so it
-		// also runs when a killed process unwinds via runtime.Goexit.
-		defer func() {
-			p.dead = true
-			// The engine is still blocked waiting for this goroutine's
-			// yield, so onExit callbacks run under the same single-threaded
-			// discipline as model code.
-			for _, fn := range p.onExit {
-				fn()
-			}
-			e.parked <- procYield{p: p, done: true, panicked: panicked}
-		}()
-		<-p.resume // wait for the first dispatch
-		if p.killed {
-			return
-		}
-		func() {
-			defer func() { panicked = recover() }()
-			fn(p)
-		}()
-	}()
+	p := &Proc{eng: e, name: name, fn: fn, lane: lane}
+	e.addProc(p)
 	startLabel := ""
 	if e.Trace != nil {
 		startLabel = "start:" + name
 	}
 	e.scheduleProc(e.now, startLabel, p)
 	return p
+}
+
+// addProc records p in spawn order for the watchdog. Dead processes are
+// compacted out once the slice has doubled since the last compaction, so
+// the table stays proportional to the live population however many
+// short-lived processes a run spawns, and live processes keep their order.
+func (e *Engine) addProc(p *Proc) {
+	if len(e.procs) >= e.procsCompactAt {
+		live := e.procs[:0]
+		for _, q := range e.procs {
+			if !q.dead {
+				live = append(live, q)
+			}
+		}
+		clear(e.procs[len(live):])
+		e.procs = live
+		e.procsCompactAt = max(64, 2*len(live))
+	}
+	e.procs = append(e.procs, p)
+}
+
+// run runs the process body on its coroutine and recovers at the
+// coroutine boundary, discarding the kill sentinel and keeping any other
+// panic for dispatch to re-raise.
+func (p *Proc) run() {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(procKilled); !ok {
+				p.panicked = r
+			}
+		}
+	}()
+	p.fn(p)
 }
 
 // wakeLbl returns the process's wake label for traced engines ("" when no
@@ -141,39 +187,83 @@ func (p *Proc) sleep0Lbl() string {
 }
 
 // dispatch resumes p and blocks the engine until p parks or terminates.
-// It must only be called from the event loop (an event callback).
+// It must only be called from the event loop (an event callback). The
+// process gets its coroutine here, at first dispatch; a process killed
+// before that never gets one and just runs its onExit callbacks.
 func (e *Engine) dispatch(p *Proc) {
 	if p.dead {
 		return
 	}
-	p.resume <- struct{}{}
-	y := <-e.parked
-	if y.done {
-		e.nprocs--
+	if p.co == nil && !p.killed {
+		p.co = e.idleCoro()
+		p.co.p = p
 	}
-	if y.panicked != nil {
-		panic(fmt.Sprintf("sim: process %q panicked: %v", y.p.name, y.panicked))
+	if c := p.co; c != nil {
+		c.next()
+		if c.p == p {
+			return // parked
+		}
+		e.idle = append(e.idle, c)
+	}
+	p.exit()
+}
+
+// idleCoro takes a coroutine off the idle list, or starts one.
+func (e *Engine) idleCoro() *coro {
+	if n := len(e.idle); n > 0 {
+		c := e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+		return c
+	}
+	c := &coro{}
+	c.next, c.stop = iter.Pull(c.loop)
+	return c
+}
+
+// stopIdle ends every idle coroutine's goroutine.
+func (e *Engine) stopIdle() {
+	for i, c := range e.idle {
+		c.stop()
+		e.idle[i] = nil
+	}
+	e.idle = e.idle[:0]
+}
+
+// exit marks a terminated process dead, drops its coroutine and closures,
+// runs its onExit callbacks in registration order on the engine's
+// goroutine, and then surfaces a model panic.
+func (p *Proc) exit() {
+	p.dead = true
+	p.fn, p.co = nil, nil
+	onExit := p.onExit
+	p.onExit = nil
+	for _, fn := range onExit {
+		fn()
+	}
+	if p.panicked != nil {
+		panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, p.panicked))
 	}
 }
 
-// park suspends the calling process until the next dispatch. A process
-// condemned by Engine.Kill exits here via runtime.Goexit, which runs its
-// deferred functions (join-counter bumps, cleanup) before the goroutine-
-// level defer reports termination to the event loop.
+// park suspends the calling process until the next dispatch by yielding
+// its coroutine back to the event loop. A process condemned by Engine.Kill
+// panics here with the kill sentinel, which runs its deferred functions
+// (join-counter bumps, cleanup) innermost first on the way out to the
+// coroutine boundary, where it is recovered.
 func (p *Proc) park() {
-	p.eng.parked <- procYield{p: p}
-	<-p.resume
+	p.co.yield(struct{}{})
 	if p.killed {
-		runtime.Goexit()
+		panic(procKilled{})
 	}
 }
 
-// Kill condemns a process: at its next resume it unwinds via runtime.Goexit
-// (running deferred functions) instead of continuing model code. Kill is
-// asynchronous — it schedules a wake at the current time — and idempotent;
-// killing a dead process is a no-op. It models a node crash taking down the
-// processes bound to it: any condition the process was waiting on is simply
-// abandoned (primitives tolerate dead waiters).
+// Kill condemns a process: at its next resume it unwinds with the kill
+// sentinel (running deferred functions) instead of continuing model code.
+// Kill is asynchronous — it schedules a wake at the current time — and
+// idempotent; killing a dead process is a no-op. It models a node crash
+// taking down the processes bound to it: any condition the process was
+// waiting on is simply abandoned (primitives tolerate dead waiters).
 func (e *Engine) Kill(p *Proc) {
 	if p == nil || p.dead || p.killed {
 		return

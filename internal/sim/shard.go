@@ -206,6 +206,7 @@ func (sh *Sharded) run(deadline Time) {
 		d := e.executed - starts[i]
 		totalExecuted.Add(d)
 		addShardExecuted(i, d)
+		e.stopIdle()
 	}
 }
 

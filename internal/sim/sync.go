@@ -238,10 +238,11 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 	if w.granted {
 		return
 	}
-	// A process killed while parked here unwinds via Goexit, which runs
-	// this frame's defers: units granted in the same instant as the kill
-	// are returned, an ungranted request is withdrawn. Without this, a
-	// crashed node's work-groups would pin semaphore capacity forever.
+	// A process killed while parked here unwinds with the kill sentinel
+	// panic, which runs this frame's defers: units granted in the same
+	// instant as the kill are returned, an ungranted request is withdrawn.
+	// Without this, a crashed node's work-groups would pin semaphore
+	// capacity forever.
 	defer func() {
 		if !p.killed {
 			return
