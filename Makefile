@@ -80,13 +80,15 @@ lint:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
 
 ## bench: the full simulator perf run (events/sec, allocs/event, wall time
-## per experiment); refreshes the BENCH_sim.json baseline at the repo root.
+## per experiment, each the median of 3 timed runs, with the events/sec
+## spread); refreshes the BENCH_sim.json baseline at the repo root.
 bench:
 	$(GO) run ./cmd/gputn-bench -exp perf -perf-preset full -bench-out BENCH_sim.json
 
-## bench-smoke: the reduced perf run CI uses — compares against the
-## committed BENCH_sim.json baseline first (failing on >30% events/sec
-## regression), then overwrites it with the fresh smoke report.
+## bench-smoke: the reduced perf run CI uses — times each experiment 3
+## times, compares the median against the committed BENCH_sim.json
+## baseline first (failing on >30% events/sec regression), then
+## overwrites it with the fresh smoke report.
 bench-smoke:
 	$(GO) run ./cmd/gputn-bench -exp perf -perf-preset smoke -bench-baseline BENCH_sim.json -bench-out BENCH_sim.json
 

@@ -27,9 +27,10 @@
 // topology) silently cap the engine count at one.
 //
 // The -exp perf harness measures the simulator itself (events/sec,
-// allocs/event, wall time per experiment) and writes BENCH_sim.json;
+// allocs/event, wall time per experiment, each the median of 3 timed
+// runs, with the events/sec spread) and writes BENCH_sim.json;
 // -bench-baseline compares against a committed report and exits nonzero
-// when events/sec regresses beyond -bench-tolerance. The -cpuprofile and
+// when the median events/sec regresses beyond -bench-tolerance. The -cpuprofile and
 // -memprofile flags capture pprof profiles of whatever experiment runs.
 //
 // The -fault-* flag group arms the deterministic fault injector for every
@@ -104,6 +105,10 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
+
+// perfRuns is how many times -exp perf times each experiment; the report
+// and the baseline gate use the median.
+const perfRuns = 3
 
 // experimentList names every experiment in run order with a one-line
 // description; -list renders it and the runner map in run() must cover it.
@@ -591,7 +596,7 @@ func run() int {
 			return nil
 		},
 		"perf": func() error {
-			rep, err := bench.RunPerf(cfg, *perfPreset)
+			rep, err := bench.RunPerf(cfg, *perfPreset, perfRuns)
 			if err != nil {
 				return err
 			}

@@ -42,7 +42,7 @@ func TestEveryExperimentAuditClean(t *testing.T) {
 		{"chaossearch", func(t *testing.T) { RenderChaosSearch(cfg, ChaosConfig{Seed: 42, Trials: 1}) }},
 		{"fattree-incast", func(t *testing.T) { AblationFatTreeIncast(cfg, 16, 64<<10) }},
 		{"perf", func(t *testing.T) {
-			if _, err := RunPerf(cfg, "smoke"); err != nil {
+			if _, err := RunPerf(cfg, "smoke", 1); err != nil {
 				t.Fatal(err)
 			}
 		}},

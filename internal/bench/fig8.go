@@ -149,6 +149,9 @@ func figure8Run(cfg config.SystemConfig, kind backends.Kind) *Fig8Run {
 				tr.End("initiator", SpanLaunch)
 				tr.Begin("initiator", SpanExec)
 				body(wg)
+				// The tracer reads the engine clock: bring it up to the
+				// work-group's time before closing the execution span.
+				wg.Sync()
 				tr.End("initiator", SpanExec)
 				tr.Begin("initiator", SpanTeardown)
 			},

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/config"
@@ -17,14 +18,19 @@ import (
 // deterministic; these numbers are the only ones that vary per host, so
 // they live in their own report instead of the experiment output.
 
-// PerfResult is one measured experiment.
+// PerfResult is one measured experiment, timed Runs times. Wall time,
+// events/sec and allocs/event are medians over the runs; the events/sec
+// spread is kept so a reader can tell a regression from host noise.
 type PerfResult struct {
 	Name   string  `json:"name"`
 	WallMs float64 `json:"wall_ms"`
 	// Events counts simulation events fired across every engine the
-	// experiment created (from sim.TotalExecuted deltas).
-	Events       uint64  `json:"events"`
-	EventsPerSec float64 `json:"events_per_sec"`
+	// experiment created (from sim.TotalExecuted deltas) in one run.
+	Events          uint64  `json:"events"`
+	EventsPerSec    float64 `json:"events_per_sec"`
+	EventsPerSecMin float64 `json:"events_per_sec_min"`
+	EventsPerSecMax float64 `json:"events_per_sec_max"`
+	Runs            int     `json:"runs"`
 	// AllocsPerEvent is heap allocations per fired event across the whole
 	// harness (runtime.MemStats Mallocs delta / events) — a model-stack
 	// figure, not just the engine core.
@@ -129,13 +135,23 @@ func shardDelta(before, after []uint64) []uint64 {
 	return out
 }
 
-// RunPerf executes the preset's experiments, measuring each one's wall
-// time, fired events, and allocations.
-func RunPerf(cfg config.SystemConfig, preset string) (*PerfReport, error) {
+// perSec is events per second over wall, 0 for an unmeasurable wall.
+func perSec(events uint64, wall time.Duration) float64 {
+	if wall <= 0 {
+		return 0
+	}
+	return float64(events) / wall.Seconds()
+}
+
+// RunPerf executes the preset's experiments runs times each (at least
+// once) and reports per experiment the median wall time, events/sec and
+// allocs/event, and the events/sec spread.
+func RunPerf(cfg config.SystemConfig, preset string, runs int) (*PerfReport, error) {
 	exps, err := perfSuite(cfg, preset)
 	if err != nil {
 		return nil, err
 	}
+	runs = max(runs, 1)
 	rep := &PerfReport{
 		GoVersion:   runtime.Version(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
@@ -143,36 +159,41 @@ func RunPerf(cfg config.SystemConfig, preset string) (*PerfReport, error) {
 		Preset:      preset,
 	}
 	for _, ex := range exps {
-		// Collect before timing so each experiment starts from a clean GC
-		// state: without this, an allocation-heavy experiment leaves GC debt
-		// that the next experiment pays for, and measured events/sec depends
-		// on suite order rather than the experiment itself.
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		ev0 := sim.TotalExecuted()
-		sh0 := sim.ShardExecuted()
-		t0 := time.Now()
-		ex.run()
-		wall := time.Since(t0)
-		events := sim.TotalExecuted() - ev0
-		runtime.ReadMemStats(&after)
-
-		r := PerfResult{
-			Name:        ex.name,
-			WallMs:      float64(wall.Microseconds()) / 1000,
-			Events:      events,
-			Shards:      ex.shards,
-			ShardEvents: shardDelta(sh0, sim.ShardExecuted()),
+		r := PerfResult{Name: ex.name, Runs: runs, Shards: ex.shards}
+		walls := make([]time.Duration, runs)
+		allocs := make([]uint64, runs)
+		for i := range walls {
+			// Collect before timing so each run starts from a clean GC
+			// state: without this, an allocation-heavy experiment leaves GC
+			// debt that the next one pays for, and measured events/sec
+			// depends on suite order rather than the experiment itself.
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			ev0 := sim.TotalExecuted()
+			sh0 := sim.ShardExecuted()
+			t0 := time.Now()
+			ex.run()
+			walls[i] = time.Since(t0)
+			// Experiments are deterministic: every run fires the same
+			// events.
+			r.Events = sim.TotalExecuted() - ev0
+			r.ShardEvents = shardDelta(sh0, sim.ShardExecuted())
+			runtime.ReadMemStats(&after)
+			allocs[i] = after.Mallocs - before.Mallocs
 		}
-		if wall > 0 {
-			r.EventsPerSec = float64(events) / wall.Seconds()
-		}
-		if events > 0 {
-			r.AllocsPerEvent = float64(after.Mallocs-before.Mallocs) / float64(events)
+		slices.Sort(walls)
+		slices.Sort(allocs)
+		wall := walls[runs/2]
+		r.WallMs = float64(wall.Microseconds()) / 1000
+		r.EventsPerSec = perSec(r.Events, wall)
+		r.EventsPerSecMin = perSec(r.Events, walls[runs-1])
+		r.EventsPerSecMax = perSec(r.Events, walls[0])
+		if r.Events > 0 {
+			r.AllocsPerEvent = float64(allocs[runs/2]) / float64(r.Events)
 		}
 		rep.Experiments = append(rep.Experiments, r)
-		rep.TotalEvents += events
+		rep.TotalEvents += r.Events
 		rep.TotalWallMs += r.WallMs
 	}
 	if rep.TotalWallMs > 0 {
@@ -185,12 +206,12 @@ func RunPerf(cfg config.SystemConfig, preset string) (*PerfReport, error) {
 func (r *PerfReport) Render() string {
 	out := fmt.Sprintf("Simulator perf (%s preset, %s, GOMAXPROCS=%d, parallel=%d)\n",
 		r.Preset, r.GoVersion, r.GOMAXPROCS, r.Parallelism)
-	out += fmt.Sprintf("%-12s %10s %12s %14s %12s %7s\n", "experiment", "wall ms", "events", "events/sec", "allocs/event", "shards")
+	out += fmt.Sprintf("%-14s %10s %12s %14s %23s %12s %7s\n", "experiment", "wall ms", "events", "events/sec", "min-max", "allocs/event", "shards")
 	for _, e := range r.Experiments {
-		out += fmt.Sprintf("%-12s %10.1f %12d %14.0f %12.2f %7d\n",
-			e.Name, e.WallMs, e.Events, e.EventsPerSec, e.AllocsPerEvent, e.Shards)
+		out += fmt.Sprintf("%-14s %10.1f %12d %14.0f %11.0f-%-11.0f %12.2f %7d\n",
+			e.Name, e.WallMs, e.Events, e.EventsPerSec, e.EventsPerSecMin, e.EventsPerSecMax, e.AllocsPerEvent, e.Shards)
 	}
-	out += fmt.Sprintf("%-12s %10.1f %12d %14.0f\n", "total", r.TotalWallMs, r.TotalEvents, r.EventsPerSec)
+	out += fmt.Sprintf("%-14s %10.1f %12d %14.0f\n", "total", r.TotalWallMs, r.TotalEvents, r.EventsPerSec)
 	return out
 }
 
@@ -217,7 +238,8 @@ func LoadPerfReport(path string) (*PerfReport, error) {
 }
 
 // ComparePerf checks cur against base: every experiment present in both
-// must hold at least (1-tolerance) of the baseline events/sec. Returns a
+// must hold at least (1-tolerance) of the baseline events/sec, comparing
+// the median of each report's runs. Returns a
 // human-readable line per regression (empty = no regression). Experiments
 // present in only one report are skipped, so a smoke run compares cleanly
 // against a full baseline. Only like-for-like engine configurations
@@ -238,8 +260,8 @@ func ComparePerf(cur, base *PerfReport, tolerance float64) []string {
 		floor := b.EventsPerSec * (1 - tolerance)
 		if e.EventsPerSec < floor {
 			regressions = append(regressions,
-				fmt.Sprintf("%s: %.0f events/sec < %.0f (baseline %.0f - %.0f%% tolerance)",
-					e.Name, e.EventsPerSec, floor, b.EventsPerSec, tolerance*100))
+				fmt.Sprintf("%s: median %.0f events/sec over %d runs < %.0f (baseline %.0f - %.0f%% tolerance)",
+					e.Name, e.EventsPerSec, e.Runs, floor, b.EventsPerSec, tolerance*100))
 		}
 	}
 	return regressions

@@ -685,12 +685,16 @@ func runGPUTNRank(p *sim.Proc, st *rankState) error {
 	// Persistent kernel: all rounds inside one kernel dispatch. With a
 	// timeout (or hedge) armed, a work-group that gives up on a round
 	// records the step and exits; its siblings observe the sticky flag and
-	// follow.
+	// follow, reading it at their own time (wg.Sync).
+	abortable := st.timeout > 0 || st.hedge != nil
 	kern := &gpu.Kernel{
 		Name:       fmt.Sprintf("gputn.allreduce.%d", st.nd.Index),
 		WorkGroups: reduceWGs,
 		Body: func(wg *gpu.WGCtx) {
 			for _, r := range rounds {
+				if abortable {
+					wg.Sync()
+				}
 				if failedStep >= 0 && failedStep <= r.Step {
 					return
 				}

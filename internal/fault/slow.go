@@ -139,15 +139,19 @@ func (p *SlowPlan) FirstInjectionAt() (sim.Time, bool) {
 	return first, true
 }
 
+// note records an injection at now, keeping the earliest. Calls are not
+// in time order: a GPU dilation is noted at the work-group's logical time,
+// which can run ahead of the engine clock a later NIC or DMA slowdown is
+// noted at (DESIGN.md §10.6).
 func (p *SlowPlan) note(now sim.Time, node int) {
 	if p.nodeHas != nil {
-		if !p.nodeHas[node] {
+		if !p.nodeHas[node] || now < p.nodeFirst[node] {
 			p.nodeHas[node] = true
 			p.nodeFirst[node] = now
 		}
 		return
 	}
-	if !p.hasAny {
+	if !p.hasAny || now < p.firstAt {
 		p.hasAny = true
 		p.firstAt = now
 	}

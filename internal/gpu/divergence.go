@@ -27,12 +27,12 @@ func (w *WGCtx) Wavefronts() int {
 func (w *WGCtx) Diverge(takenFrac float64, thenTime, elseTime sim.Time) {
 	switch {
 	case takenFrac <= 0:
-		w.p.Sleep(elseTime)
+		w.advance(elseTime)
 	case takenFrac >= 1:
-		w.p.Sleep(thenTime)
+		w.advance(thenTime)
 	default:
 		// Mask serialization: both paths execute back to back.
-		w.p.Sleep(thenTime + elseTime)
+		w.advance(thenTime + elseTime)
 	}
 }
 
@@ -41,5 +41,5 @@ func (w *WGCtx) Diverge(takenFrac float64, thenTime, elseTime sim.Time) {
 // remaining lanes are masked off. The whole group advances by the leader's
 // path time (other wavefronts skip the branch entirely).
 func (w *WGCtx) DivergeLeader(leaderTime sim.Time) {
-	w.p.Sleep(leaderTime)
+	w.advance(leaderTime)
 }

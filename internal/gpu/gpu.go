@@ -34,9 +34,21 @@ type Kernel struct {
 
 // WGCtx is the execution context handed to a kernel body for one
 // work-group: the paper's kernel API surface (§4.2) plus cost accounting.
+//
+// A work-group runs ahead on its own clock. Compute, Barrier, FenceSystem,
+// Diverge and the cost of AtomicStoreSystem add to lag instead of sleeping,
+// because no other entity can observe a work-group between them. The lag
+// is paid as one sleep at the next point that is observable: before a
+// store's effect, before a poll, in Now, Proc and Sync, and when the body
+// returns. So a kernel body reads time through wg.Now(), and a body that
+// reads or writes state shared with other entities does so inside a
+// store's effect or after wg.Sync() (or wg.Now()).
 type WGCtx struct {
 	gpu *GPU
 	p   *sim.Proc
+	// lag is the local time the work-group has run ahead of the engine
+	// clock: its logical time is p.Now() + lag.
+	lag sim.Time
 
 	// Group is the work-group id (get_group_id), NumGroups the dispatch
 	// width in work-groups, and WGSize the work-items per group.
@@ -45,47 +57,79 @@ type WGCtx struct {
 	WGSize    int
 }
 
-// Proc exposes the underlying simulation process for advanced waits.
-func (w *WGCtx) Proc() *sim.Proc { return w.p }
+// Sync pays the work-group's lag, bringing the engine clock up to its
+// local time. Call it before reading or writing state other entities can
+// see. It costs no event when there is no lag.
+func (w *WGCtx) Sync() {
+	if d := w.lag; d > 0 {
+		w.lag = 0
+		w.p.Sleep(d)
+	}
+}
 
-// Now returns the current simulated time.
-func (w *WGCtx) Now() sim.Time { return w.p.Now() }
+// advance adds d of unobservable work-group time to the lag.
+func (w *WGCtx) advance(d sim.Time) {
+	if d < 0 {
+		panic("gpu: negative work-group duration")
+	}
+	w.lag += d
+}
+
+// Proc exposes the underlying simulation process for advanced waits,
+// synced to the work-group's local time.
+func (w *WGCtx) Proc() *sim.Proc {
+	w.Sync()
+	return w.p
+}
+
+// Now returns the work-group's simulated time, syncing the engine to it.
+func (w *WGCtx) Now() sim.Time {
+	w.Sync()
+	return w.p.Now()
+}
 
 // Compute advances the work-group by d of pure computation. An installed
-// dilation hook (a fail-slow window) can stretch the duration.
+// dilation hook (a fail-slow window) can stretch the duration; it sees the
+// work-group's local time.
 func (w *WGCtx) Compute(d sim.Time) {
 	if w.gpu.dilate != nil {
-		d = w.gpu.dilate(d)
+		d = w.gpu.dilate(w.p.Now()+w.lag, d)
 	}
-	w.p.Sleep(d)
+	w.advance(d)
 }
 
 // Barrier executes a work-group barrier (work_group_barrier).
-func (w *WGCtx) Barrier() { w.p.Sleep(w.gpu.cfg.BarrierWorkGroup) }
+func (w *WGCtx) Barrier() { w.advance(w.gpu.cfg.BarrierWorkGroup) }
 
 // FenceSystem executes an atomic_work_item_fence to system scope with
 // release/acquire semantics — required before the trigger write so the
 // send buffer is visible to the NIC (§4.2.6).
-func (w *WGCtx) FenceSystem() { w.p.Sleep(w.gpu.cfg.FenceSystemScope) }
+func (w *WGCtx) FenceSystem() { w.advance(w.gpu.cfg.FenceSystemScope) }
 
 // AtomicStoreSystem performs an atomic store with
 // memory_scope_all_svm_devices: it pays the cache-bypassing store cost and
-// then applies the store's effect (e.g. a trigger-address write).
+// then applies the store's effect (e.g. a trigger-address write) at the
+// work-group's local time. A nil effect only adds the cost.
 func (w *WGCtx) AtomicStoreSystem(effect func()) {
-	w.p.Sleep(w.gpu.cfg.AtomicSystemStore)
+	w.advance(w.gpu.cfg.AtomicSystemStore)
 	if effect != nil {
+		w.Sync()
 		effect()
 	}
 }
 
 // PollUntil blocks the work-group until the counter reaches target,
 // modeling a spin on a memory flag updated by the NIC or a peer (§4.2.5).
-func (w *WGCtx) PollUntil(c *sim.Counter, target int64) { c.WaitGE(w.p, target) }
+func (w *WGCtx) PollUntil(c *sim.Counter, target int64) {
+	w.Sync()
+	c.WaitGE(w.p, target)
+}
 
 // PollUntilFor is PollUntil with a deadline: it reports whether the target
 // was reached before timeout elapsed. A non-positive timeout waits forever
 // (and reports true), so fault-free code paths stay unchanged.
 func (w *WGCtx) PollUntilFor(c *sim.Counter, target int64, timeout sim.Time) bool {
+	w.Sync()
 	if timeout <= 0 {
 		c.WaitGE(w.p, target)
 		return true
@@ -107,10 +151,10 @@ type GPU struct {
 	launchModel func(queued int) sim.Time
 
 	// dilate, when non-nil, stretches every WGCtx.Compute duration — the
-	// fail-slow GPU class (fault.SlowPlan). A struct field rather than
-	// per-kernel state so it survives Reset: a restarted node's silicon is
-	// still throttled.
-	dilate func(d sim.Time) sim.Time
+	// fail-slow GPU class (fault.SlowPlan) — given the work-group's local
+	// time. A struct field rather than per-kernel state so it survives
+	// Reset: a restarted node's silicon is still throttled.
+	dilate func(now, d sim.Time) sim.Time
 
 	// frontendProc and live track the scheduler process and in-flight
 	// work-group processes so a node crash can take them all down.
@@ -183,7 +227,9 @@ func (g *GPU) RunResident(name string, body func(wg *WGCtx)) *sim.Proc {
 		g.kernelsLaunched++
 		g.slots.Acquire(wp, 1)
 		defer g.slots.Release(1)
-		body(&WGCtx{gpu: g, p: wp, Group: 0, NumGroups: 1, WGSize: g.cfg.WavefrontSize})
+		ctx := &WGCtx{gpu: g, p: wp, Group: 0, NumGroups: 1, WGSize: g.cfg.WavefrontSize}
+		body(ctx)
+		ctx.Sync()
 	})
 	g.track(p)
 	return p
@@ -200,8 +246,9 @@ func (g *GPU) KernelsLaunched() int64 { return g.kernelsLaunched }
 func (g *GPU) SetLaunchModel(f func(queued int) sim.Time) { g.launchModel = f }
 
 // SetDilation installs a compute-time dilation hook (the fail-slow GPU
-// class). Pass nil to restore full speed.
-func (g *GPU) SetDilation(f func(d sim.Time) sim.Time) { g.dilate = f }
+// class). The hook gets the work-group's local time, which can be ahead of
+// the engine clock. Pass nil to restore full speed.
+func (g *GPU) SetDilation(f func(now, d sim.Time) sim.Time) { g.dilate = f }
 
 // Launch enqueues a kernel on the GPU's command queue. The front-end
 // scheduler dispatches it in FIFO order. Completion is observable via
@@ -264,6 +311,7 @@ func (g *GPU) frontend(p *sim.Proc) {
 					defer g.slots.Release(1)
 					ctx := &WGCtx{gpu: g, p: wp, Group: wg, NumGroups: kk.WorkGroups, WGSize: kk.WGSize}
 					kk.Body(ctx)
+					ctx.Sync()
 					wgDone.Add(1)
 				}))
 			}

@@ -139,6 +139,9 @@ func (a *Agent) ticker(wg *gpu.WGCtx) {
 	size := nd.Ptl.Size()
 	for {
 		wg.Compute(a.cfg.Period)
+		// Heartbeat payloads read ticks at DMA time: publish the tick at
+		// the work-group's own time, one Period after the last.
+		wg.Sync()
 		a.ticks++
 		wg.FenceSystem()
 		for peer := 0; peer < size; peer++ {

@@ -198,3 +198,23 @@ func TestSuiteStopDrains(t *testing.T) {
 		t.Fatalf("unexpected view render: %s", s.Membership)
 	}
 }
+
+// The GPU ticker's compute runs on the work-group's local clock, but the
+// tick count it publishes is read by heartbeat payloads at DMA time: the
+// first tick must land exactly one Period after the ticker starts, not
+// when the work-group begins computing it.
+func TestTickerTicksAtItsOwnTime(t *testing.T) {
+	cfg := config.Default()
+	cfg.Health = testHealthCfg()
+	cl := node.NewCluster(cfg, 2)
+	s := Start(cl)
+	first := cfg.GPU.KernelLaunch + cfg.Health.Period
+	var before, after int64
+	cl.Eng.Schedule(first-sim.Picosecond, func() { before = s.Agents[0].ticks })
+	cl.Eng.Schedule(first+sim.Picosecond, func() { after = s.Agents[0].ticks })
+	cl.Eng.After(3*cfg.Health.Period, s.Stop)
+	cl.Run()
+	if before != 0 || after != 1 {
+		t.Fatalf("ticks = %d just before and %d just after %v, want 0 and 1", before, after, first)
+	}
+}

@@ -247,3 +247,23 @@ func TestTriggerWriteLossRecoveredByExtraWrites(t *testing.T) {
 		t.Fatalf("recv = %d, want exactly 1 (%d of %d writes survived)", recv.Value(), survived, writes)
 	}
 }
+
+// TestTriggerWriteAllocFree pins the pooled in-flight record: once the
+// pool and the tag's placeholder exist, an MMIO trigger write and its
+// landing in the FIFO allocate nothing.
+func TestTriggerWriteAllocFree(t *testing.T) {
+	r := newRig(t, 2)
+	n := r.nics[0]
+	write := func() {
+		n.TriggerWrite(7)
+		n.TriggerWrite(7)
+		r.eng.Run()
+	}
+	write() // warm up: the placeholder entry, the pool, the FIFO's slice
+	if allocs := testing.AllocsPerRun(100, write); allocs != 0 {
+		t.Fatalf("trigger writes allocate %.1f times per run, want 0", allocs)
+	}
+	if got := n.Stats().TriggerWrites; got != 2*102 {
+		t.Fatalf("TriggerWrites = %d, want %d", got, 2*102)
+	}
+}

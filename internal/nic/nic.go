@@ -379,6 +379,8 @@ type NIC struct {
 
 	cmdQ     *sim.Queue[*Command]
 	trigFIFO *sim.Queue[DynamicWrite]
+	// trigFree recycles the in-flight records of MMIO trigger writes.
+	trigFree []*trigFlight
 	entries  []*triggerEntry
 	regions  []*Region
 	lookup   LookupModel
@@ -667,26 +669,56 @@ func (n *NIC) TriggerWriteDynamic(w DynamicWrite) {
 		}
 		lat += delay
 	}
-	ep := n.inc
-	n.eng.After(lat, func() {
-		if n.fenced(ep) {
-			// The node crashed while the MMIO store was in flight: the
-			// write from the dead incarnation never reaches the (new) FIFO.
-			n.stats.FencedTriggers++
-			return
-		}
-		if n.cfg.TriggerFIFODepth > 0 && n.trigFIFO.Len() >= n.cfg.TriggerFIFODepth {
-			// A bounded FIFO applies backpressure in real hardware; the
-			// model counts the event and drops, and tests assert this
-			// never happens in the evaluated configurations.
-			n.stats.DroppedTriggers++
-			return
-		}
-		n.trigFIFO.Push(w)
-		if hw := int64(n.trigFIFO.Len()); hw > n.stats.TrigFIFOHighWater {
-			n.stats.TrigFIFOHighWater = hw
-		}
-	})
+	f := n.newTrigFlight()
+	f.w, f.ep = w, n.inc
+	n.eng.After(lat, f.land)
+}
+
+// trigFlight is one MMIO trigger write in flight to the trigger FIFO.
+// Records are pooled per NIC (see NIC.newTrigFlight): land is bound to the
+// record once, when it is first allocated, so a trigger write allocates
+// no closure in steady state.
+type trigFlight struct {
+	w    DynamicWrite
+	ep   int64 // incarnation that issued the write
+	land func()
+}
+
+// newTrigFlight draws a recycled in-flight record (or allocates one,
+// binding its landing callback exactly once).
+func (n *NIC) newTrigFlight() *trigFlight {
+	if k := len(n.trigFree); k > 0 {
+		f := n.trigFree[k-1]
+		n.trigFree = n.trigFree[:k-1]
+		return f
+	}
+	f := &trigFlight{}
+	f.land = func() { n.landTrigger(f) }
+	return f
+}
+
+// landTrigger delivers a trigger write to the FIFO at the end of its MMIO
+// flight and recycles the record.
+func (n *NIC) landTrigger(f *trigFlight) {
+	w, ep := f.w, f.ep
+	n.trigFree = append(n.trigFree, f)
+	if n.fenced(ep) {
+		// The node crashed while the MMIO store was in flight: the write
+		// from the dead incarnation never reaches the (new) FIFO.
+		n.stats.FencedTriggers++
+		return
+	}
+	if n.cfg.TriggerFIFODepth > 0 && n.trigFIFO.Len() >= n.cfg.TriggerFIFODepth {
+		// A bounded FIFO applies backpressure in real hardware; the model
+		// counts the event and drops, and tests assert this never happens
+		// in the evaluated configurations.
+		n.stats.DroppedTriggers++
+		return
+	}
+	n.trigFIFO.Push(w)
+	if hw := int64(n.trigFIFO.Len()); hw > n.stats.TrigFIFOHighWater {
+		n.stats.TrigFIFOHighWater = hw
+	}
 }
 
 // RegisterTriggered registers a triggered operation (§3.1 step 1): the

@@ -283,12 +283,13 @@ func NewCluster(cfg config.SystemConfig, n int) *Cluster {
 			GPUMem:  gpuMem,
 		}
 		if slow := inj.Slow(); slow.AffectsGPU(i) {
-			// Fail-slow GPU class: dilate every Compute on this node. The
-			// hook is installed once and survives GPU.Reset — a restarted
-			// straggler is still a straggler until its window closes.
+			// Fail-slow GPU class: dilate every Compute on this node at the
+			// work-group's local time. The hook is installed once and
+			// survives GPU.Reset — a restarted straggler is still a
+			// straggler until its window closes.
 			idx := i
-			nd.GPU.SetDilation(func(d sim.Time) sim.Time {
-				return slow.GPUDilate(e.Now(), idx, d)
+			nd.GPU.SetDilation(func(now, d sim.Time) sim.Time {
+				return slow.GPUDilate(now, idx, d)
 			})
 		}
 		c.Nodes = append(c.Nodes, nd)

@@ -551,6 +551,38 @@ func TestQueueTryPop(t *testing.T) {
 	}
 }
 
+// TestQueueRingWrapsAndGrows drives the ring through wrap-around and
+// growth with a backlog that rises and falls, checking FIFO order against
+// a plain slice.
+func TestQueueRingWrapsAndGrows(t *testing.T) {
+	q := NewQueue[int](NewEngine())
+	var want []int
+	next := 0
+	for round := 0; round < 50; round++ {
+		for i := 0; i < round%13+1; i++ {
+			q.Push(next)
+			want = append(want, next)
+			next++
+		}
+		for i := 0; i < round%11; i++ {
+			v, ok := q.TryPop()
+			if len(want) == 0 {
+				if ok {
+					t.Fatalf("round %d: TryPop = %d on empty queue", round, v)
+				}
+				continue
+			}
+			if !ok || v != want[0] {
+				t.Fatalf("round %d: TryPop = %d, %v; want %d", round, v, ok, want[0])
+			}
+			want = want[1:]
+		}
+		if q.Len() != len(want) {
+			t.Fatalf("round %d: Len = %d, want %d", round, q.Len(), len(want))
+		}
+	}
+}
+
 func TestQueueMultipleConsumersFIFO(t *testing.T) {
 	e := NewEngine()
 	q := NewQueue[int](e)

@@ -132,8 +132,12 @@ func (c *Counter) WaitGEUntil(p *Proc, target int64, deadline Time) bool {
 // Queue is an unbounded FIFO connecting producers and consumers.
 // Push never blocks; Pop parks until an item is available.
 type Queue[T any] struct {
-	eng     *Engine
-	items   []T
+	eng *Engine
+	// buf is a ring holding the n queued items from buf[head] on, so a
+	// steady producer/consumer pair reuses one backing array instead of
+	// allocating as a sliding slice would.
+	buf     []T
+	head, n int
 	waiters []*Proc
 }
 
@@ -141,17 +145,26 @@ type Queue[T any] struct {
 func NewQueue[T any](e *Engine) *Queue[T] { return &Queue[T]{eng: e} }
 
 // Len reports the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.n }
 
 // Push appends v and wakes one waiting consumer, if any. Waiters killed
 // while parked (a crashed node's service loops) are skipped and discarded —
 // waking one would consume the wakeup without consuming the item, leaving
 // live consumers parked forever behind a dead one.
 func (q *Queue[T]) Push(v T) {
-	q.items = append(q.items, v)
+	if q.n == len(q.buf) {
+		grown := make([]T, max(1, 2*len(q.buf)))
+		k := copy(grown, q.buf[q.head:])
+		copy(grown[k:], q.buf[:q.head])
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)%len(q.buf)] = v
+	q.n++
 	for len(q.waiters) > 0 {
 		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
+		k := copy(q.waiters, q.waiters[1:])
+		q.waiters[k] = nil
+		q.waiters = q.waiters[:k]
 		if w.Dead() {
 			continue
 		}
@@ -163,28 +176,30 @@ func (q *Queue[T]) Push(v T) {
 // Pop removes and returns the head item, parking p while the queue is
 // empty. Consumers are served FIFO.
 func (q *Queue[T]) Pop(p *Proc) T {
-	for len(q.items) == 0 {
+	for q.n == 0 {
 		q.waiters = append(q.waiters, p)
 		p.park()
 	}
-	v := q.items[0]
-	// Avoid retaining popped elements.
-	var zero T
-	q.items[0] = zero
-	q.items = q.items[1:]
-	return v
+	return q.take()
 }
 
 // TryPop removes the head item without blocking. ok is false when empty.
 func (q *Queue[T]) TryPop() (v T, ok bool) {
-	if len(q.items) == 0 {
+	if q.n == 0 {
 		return v, false
 	}
-	v = q.items[0]
+	return q.take(), true
+}
+
+// take removes the head item, clearing its slot so the ring does not
+// retain it.
+func (q *Queue[T]) take() T {
+	v := q.buf[q.head]
 	var zero T
-	q.items[0] = zero
-	q.items = q.items[1:]
-	return v, true
+	q.buf[q.head] = zero
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
+	return v
 }
 
 // Resource is a counting semaphore with FIFO admission, used to model

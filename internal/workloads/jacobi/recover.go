@@ -262,6 +262,9 @@ func (st *rankState) runGPUTNRecover(p *sim.Proc, mb, tagBase uint64, timeout si
 		WorkGroups: wgs,
 		Body: func(wg *gpu.WGCtx) {
 			for k := 0; k < iters; k++ {
+				// A sibling's abort is shared state: read it at this
+				// group's own time.
+				wg.Sync()
 				if failedIter >= 0 && failedIter <= k {
 					return
 				}
