@@ -34,7 +34,7 @@ check:
 ## progress-based Slow verdicts, ring bypass of confirmed stragglers,
 ## recovery/rejoin, and exact sums over the responsive membership.
 chaos:
-	$(GO) test -race -v -run 'TestChaos|TestReliable|TestAllreduceTimeout|TestAllreduceRingHeal|TestBroadcastHeal|TestBroadcastTimeout|TestRelaxedSyncRace|TestTriggerWriteLoss|TestCrash|TestRecoverable|TestRestartEpoch|TestStaleSrc|TestCancelTriggered|TestMarkPeerCrashed|TestSuite|TestPeerDead|TestPartition|TestDoubleCrash|TestAdaptiveRTO|TestLinkHealth|TestMatrixClassifies|TestSymmetricCut|TestHealReturns|TestSDC|TestQuarantineIsPermanent|TestSlow|TestStraggler|TestHedged' ./internal/collective/ ./internal/nic/ ./internal/health/ ./internal/workloads/jacobi/
+	$(GO) test -race -v -run 'TestChaos|TestReliable|TestAllreduceTimeout|TestAllreduceRingHeal|TestBroadcastHeal|TestBroadcastTimeout|TestRelaxedSyncRace|TestTriggerWriteLoss|TestCrash|TestRecoverable|TestRestartEpoch|TestStaleSrc|TestCancelTriggered|TestMarkPeerCrashed|TestSuite|TestPeerDead|TestPartition|TestDoubleCrash|TestAdaptiveRTO|TestLinkHealth|TestMatrixClassifies|TestSymmetricCut|TestHealReturns|TestSDC|TestQuarantineIsPermanent|TestSlow|TestStraggler|TestHedged|TestZeroConfigIsBitForBit' ./internal/collective/ ./internal/nic/ ./internal/health/ ./internal/workloads/jacobi/
 
 ## chaos-scenarios: the composed correlated-failure matrix under the race
 ## detector — every backend x chaos seeds 1-5 x {rack-crash+cut,
@@ -43,7 +43,7 @@ chaos:
 ## invariance, zero-config bit-for-bit), the scenario flag grammar, and the
 ## seeded double-fire / stale-delivery auditor regressions.
 chaos-scenarios:
-	$(GO) test -race -v -count=1 -run 'TestScenario|TestApplyScenario|TestAuditor|TestChaosScenario|TestChaosSearch|TestSampledScenarios' ./internal/collective/ ./internal/fault/ ./internal/config/ ./internal/nic/ ./internal/bench/
+	$(GO) test -race -v -count=1 -run 'TestScenario|TestZeroConfigIsBitForBit|TestApplyScenario|TestAuditor|TestChaosScenario|TestChaosSearch|TestSampledScenarios' ./internal/collective/ ./internal/fault/ ./internal/config/ ./internal/nic/ ./internal/bench/
 
 ## chaos-topology: the fat-tree failure-domain matrix under the race
 ## detector at full scale (CHAOS_TOPOLOGY_FULL=1: every backend x chaos
@@ -53,7 +53,7 @@ chaos-scenarios:
 ## invariance, and the zero-config bit-for-bit guarantee. The 256-node
 ## pod-scale smoke runs without -race (wall-clock, not correctness).
 chaos-topology:
-	CHAOS_TOPOLOGY_FULL=1 $(GO) test -race -v -count=1 -timeout 60m -run 'TestFatTree|TestTopologyChaosMatrix|TestLookahead' ./internal/collective/ ./internal/network/
+	CHAOS_TOPOLOGY_FULL=1 $(GO) test -race -v -count=1 -timeout 60m -run 'TestFatTree|TestTopologyChaosMatrix|TestLookahead|TestZeroConfigIsBitForBit' ./internal/collective/ ./internal/network/
 	CHAOS_TOPOLOGY_FULL=1 $(GO) test -v -count=1 -timeout 30m -run 'TestTopologyChaos256Smoke' ./internal/collective/
 
 ## chaos-search: a budgeted shrinking chaos search per seeded protocol bug —
@@ -96,14 +96,17 @@ bench-smoke:
 ## engine and at -shards 1 and -shards 4, failing if the sharded engine's
 ## simulated output diverges from the serial engine's (shard-count
 ## invariance is the engine's correctness contract; DESIGN.md §15), then
-## runs the shard determinism matrix under the race detector.
+## runs the shard determinism matrix under the race detector. The binary
+## and outputs live in a private temporary directory, removed on exit, so
+## concurrent runs cannot clobber each other.
 bench-shards:
-	$(GO) build -o /tmp/gputn-bench-shards ./cmd/gputn-bench
-	/tmp/gputn-bench-shards -exp fig10 > /tmp/fig10-serial.txt
-	/tmp/gputn-bench-shards -exp fig10 -shards 1 | grep -v '^engine: sharded' > /tmp/fig10-s1.txt
-	/tmp/gputn-bench-shards -exp fig10 -shards 4 | grep -v '^engine: sharded' > /tmp/fig10-s4.txt
-	diff /tmp/fig10-serial.txt /tmp/fig10-s1.txt
-	diff /tmp/fig10-serial.txt /tmp/fig10-s4.txt
+	set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/gputn-bench" ./cmd/gputn-bench; \
+	"$$dir/gputn-bench" -exp fig10 > "$$dir/fig10-serial.txt"; \
+	"$$dir/gputn-bench" -exp fig10 -shards 1 | grep -v '^engine: sharded' > "$$dir/fig10-s1.txt"; \
+	"$$dir/gputn-bench" -exp fig10 -shards 4 | grep -v '^engine: sharded' > "$$dir/fig10-s4.txt"; \
+	diff "$$dir/fig10-serial.txt" "$$dir/fig10-s1.txt"; \
+	diff "$$dir/fig10-serial.txt" "$$dir/fig10-s4.txt"
 	GOMAXPROCS=4 $(GO) test -race -run 'TestShard' -count=1 ./internal/sim/ ./internal/collective/
 
 ## fuzz-smoke: every committed Fuzz* target under the actual fuzzer for

@@ -1,97 +1,50 @@
-// Command gputn-bench regenerates the paper's tables and figures.
+// Command gputn-bench regenerates the paper's tables and figures, and runs
+// the simulator's extension, robustness, and self-benchmark experiments.
 //
 // Usage:
 //
 //	gputn-bench -exp all
-//	gputn-bench -exp fig10
-//	gputn-bench -exp figures -parallel 8
-//	gputn-bench -exp perf -perf-preset smoke -bench-out BENCH_sim.json
+//	gputn-bench -exp fig10 -out results/
+//	gputn-bench -exp timelines -out traces/
+//	gputn-bench -exp perf -perf-preset smoke -bench-baseline BENCH_sim.json
 //	gputn-bench -exp faults -fault-drop 0.05 -reliable
+//	gputn-bench -list
 //
-// Experiments: fig1, fig8, fig9, fig10, fig11, table1, table2, table3,
-// ablations, faults, resources, crash, partitions, sdc, perf, all;
-// "figures" runs fig1+fig8+fig9+fig10+fig11.
+// -exp all runs the paper's tables and figures plus the ablation and
+// robustness sweeps; -exp figures runs fig1+fig8+fig9+fig10+fig11. The
+// timelines, mlsweep, mltrain, sensitivity, chaossearch, and perf
+// experiments run only by name. -list describes every experiment. -out DIR
+// also writes figure data as CSV and the timelines as Chrome trace-event
+// files (fig8-<backend>.trace.json, loadable in chrome://tracing or
+// https://ui.perfetto.dev) into DIR.
 //
-// The -parallel flag sets how many OS threads the sweep runner fans
-// independent simulation replicas across (default: NumCPU). Results are
-// collected in submission order, so output is byte-identical for any
-// -parallel value; -parallel 1 takes the exact serial code path.
+// -parallel sets how many OS threads sweeps fan independent simulation
+// replicas across; results are collected in submission order, so output is
+// byte-identical for any value. -shards splits each simulated cluster's
+// nodes across N event engines under conservative bounded-window sync;
+// results are shard-count invariant (features needing a global event
+// order cap the engine count at one). -exp perf times each experiment 3
+// times and, with -bench-baseline, fails when the median events/sec falls
+// more than 30% below the baseline; -cpuprofile and -memprofile profile
+// whatever runs.
 //
-// The -shards flag shards each simulated cluster's nodes across N event
-// engines synchronized by conservative bounded-window lookahead (the
-// minimum cross-node fabric latency). Simulated results are shard-count
-// invariant: -shards 1, 2, and 4 print identical figures; only wall time
-// changes. -shards 0 (default) keeps the single global event loop,
-// bit-identical to the pre-sharding simulator. Features that need a
-// global event order (crash schedules, health membership, the fat-tree
-// topology) silently cap the engine count at one.
-//
-// The -exp perf harness measures the simulator itself (events/sec,
-// allocs/event, wall time per experiment, each the median of 3 timed
-// runs, with the events/sec spread) and writes BENCH_sim.json;
-// -bench-baseline compares against a committed report and exits nonzero
-// when the median events/sec regresses beyond -bench-tolerance. The -cpuprofile and
-// -memprofile flags capture pprof profiles of whatever experiment runs.
-//
-// The -fault-* flag group arms the deterministic fault injector for every
-// experiment in the run; with all of them zero (the default) the fabric is
-// lossless and results are bit-for-bit the fault-free numbers. The -cap-*
-// flag group bounds NIC resources (trigger-list entries, relaxed-sync
-// placeholders, command queue, trigger FIFO, event queues) the same way:
-// all-zero keeps the unbounded seed behavior bit-for-bit.
-//
-// The -crash-* flag group arms a deterministic crash-stop/restart schedule
-// and the -health-* group tunes the heartbeat membership timing; -exp
-// crash sweeps restart delay vs recovery latency per backend. All-zero
-// disables both, keeping the crash-free behavior bit-for-bit.
-//
-// The -part-* flag group arms one deterministic network partition (cut
-// side A off from side B — or from everyone else when -part-b is empty —
-// at -part-at-us, healing after -part-heal-us; -part-asym blackholes only
-// the A->B direction). The -degrade-* group arms one gray-link window
-// (latency multiplier and packet loss on a directed link). -adaptive-rto
-// switches the reliable layer's retransmit timer from the static RTOBase
-// to the per-peer Jacobson/Karels estimator. -exp partitions sweeps
-// partition heal delay and gray-link severity per backend. -list prints
-// every experiment with a one-line description and exits.
-//
-// The -sdc-* flag group arms silent-data-corruption injection — corruption
-// the link checksum does NOT catch (silent wire flips, buffer corruption at
-// rest on one node, a faulty reducer rank) — and -e2e arms the end-to-end
-// payload checksum that detects it (-e2e-latency-ns prices each sum). All
-// zero keeps the corruption-free behavior bit-for-bit. -exp sdc sweeps
-// corruption rate x class, reporting detection latency, undetected-escape
-// rate with/without verification, and the e2e checksum's clean-path
-// overhead per backend.
-//
-// The -slow-* flag group arms one fail-slow (straggler) window on one node:
-// -slow-gpu-factor dilates its GPU compute, -slow-cmd-factor stretches NIC
-// command parsing (-slow-stall-prob/-slow-stall-us add hard per-command
-// stalls), -slow-dma-factor dilates DMA transfers. All zero keeps behavior
-// bit-for-bit identical to an unconfigured run. -hedge additionally arms
-// progress-based fail-slow detection in the health suite (heartbeat-borne
-// watermarks scored into Slow verdicts). -exp stragglers sweeps slowdown
-// class x factor per backend, comparing an unmitigated run against the
-// detection + hedged-collective stack.
-//
-// The -scenario-* flag group arms the correlated-failure scenario composer
-// for every experiment: -scenario-domains names failure domains
-// ("rack0=0,1,2,3;rack1=4,5,6,7"), -scenario-events schedules correlated
-// events over them ("rackfail:rack0@50us,heal=80us,jitter=10us" crashes the
-// whole rack AND cuts it off, then heals with a per-node jittered restart
-// storm; other kinds: crash, cut, gray, slow), and -scenario-seed drives the
-// composer's private jitter stream. All-empty keeps behavior bit-for-bit
-// identical to an unconfigured run. -exp chaossearch samples -chaos-trials
-// random composed scenarios from -chaos-seed, runs each on all four
-// backends under the always-on invariant auditor, and greedily shrinks any
-// violation to a minimal reproducer emitted as a replayable -scenario-*
-// flag set (-chaos-replay consumes it); -chaos-inject doublefire|staledeliver
-// arms a seeded protocol bug so the search provably catches violations.
+// Every other flag sets a field of the simulated system's configuration
+// (config.SystemConfig) for every experiment in the run, and all of them
+// at their defaults keep the paper's configuration bit-for-bit. The
+// -fault-*, -cap-*, -topo-*, -sdc-*, and -scenario-* groups configure the
+// fault injector, NIC resource bounds, fat-tree shape, silent-corruption
+// injection, and the correlated-failure composer; -reliable, -e2e, and
+// -hedge arm the NIC's retransmit layer, the end-to-end checksum, and
+// fail-slow detection. The single-event groups -crash-*, -part-*,
+// -degrade-*, -slow-*, and -switch-* each arm one crash, partition,
+// gray-link window, fail-slow window, or switch kill when their time flag
+// is non-zero. The run header echoes whatever is armed.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -110,8 +63,12 @@ import (
 // and the baseline gate use the median.
 const perfRuns = 3
 
-// experimentList names every experiment in run order with a one-line
-// description; -list renders it and the runner map in run() must cover it.
+// perfTolerance is the fractional events/sec regression against the
+// -bench-baseline report that fails -exp perf.
+const perfTolerance = 0.30
+
+// experimentList names every experiment with a one-line description; -list
+// renders it and the runner map must cover it.
 var experimentList = []struct{ name, desc string }{
 	{"table1", "simulated platform parameters (paper Table 1)"},
 	{"table2", "communication-primitive microbenchmark latencies (paper Table 2)"},
@@ -128,24 +85,276 @@ var experimentList = []struct{ name, desc string }{
 	{"partitions", "partition heal-delay sweep and gray-link static-vs-adaptive RTO comparison"},
 	{"sdc", "silent-data-corruption sweep: detection latency, escape rate, e2e checksum overhead"},
 	{"stragglers", "fail-slow sweep: unmitigated vs hedged collectives per slowdown class and backend"},
+	{"timelines", "Fig. 8 per-backend span timelines; -out also writes them as Chrome traces (not part of -exp all)"},
+	{"mlsweep", "Fig. 11 GPU-TN projection across cluster sizes 2-32 (not part of -exp all)"},
+	{"mltrain", "in-sim synchronous-SGD training loop vs the Fig. 11 projection (not part of -exp all)"},
+	{"sensitivity", "GPU-TN Fig. 8 latency reduction over kernel-overhead scale x bandwidth, vs HDN and GDS (not part of -exp all)"},
 	{"chaossearch", "shrinking chaos search: random correlated scenarios x backends under the invariant auditor (not part of -exp all)"},
 	{"perf", "simulator self-benchmark: events/sec, allocs/event, wall time (not part of -exp all)"},
 }
 
-// parseNodeList parses a comma-separated node list ("0,1,3"); empty is nil.
-func parseNodeList(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
+// allOrder is what -exp all runs, in order; figureOrder is -exp figures.
+var (
+	allOrder    = []string{"table1", "table2", "table3", "fig1", "fig8", "fig9", "fig10", "fig11", "ablations", "faults", "resources", "crash", "partitions", "sdc", "stragglers"}
+	figureOrder = []string{"fig1", "fig8", "fig9", "fig10", "fig11"}
+)
+
+// options are the flags that steer the run rather than the simulated system.
+type options struct {
+	exp, out    string
+	list        bool
+	parallel    int
+	perfPreset  string
+	benchOut    string
+	benchBase   string
+	cpuprofile  string
+	memprofile  string
+	chaos       bench.ChaosConfig
+	chaosReplay bool
+}
+
+// timeFlag binds a float flag counted in unit onto a sim.Time field.
+type timeFlag struct {
+	t    *sim.Time
+	unit sim.Time
+}
+
+func (f *timeFlag) String() string {
+	if f.t == nil {
+		return "0"
 	}
+	return strconv.FormatFloat(float64(*f.t)/float64(f.unit), 'g', -1, 64)
+}
+
+func (f *timeFlag) Set(s string) error {
+	x, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return err
+	}
+	*f.t = sim.Time(x * float64(f.unit))
+	return nil
+}
+
+// nodeList binds a comma-separated node list flag ("0,1,3"); empty is nil.
+type nodeList struct{ nodes *[]int }
+
+func (l *nodeList) String() string {
+	if l.nodes == nil {
+		return ""
+	}
+	parts := make([]string, len(*l.nodes))
+	for i, n := range *l.nodes {
+		parts[i] = strconv.Itoa(n)
+	}
+	return strings.Join(parts, ",")
+}
+
+func (l *nodeList) Set(s string) error {
 	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("node list %q: %w", s, err)
+	if s != "" {
+		for _, part := range strings.Split(s, ",") {
+			n, err := strconv.Atoi(strings.TrimSpace(part))
+			if err != nil {
+				return fmt.Errorf("node list %q: %w", s, err)
+			}
+			out = append(out, n)
 		}
-		out = append(out, n)
 	}
-	return out, nil
+	*l.nodes = out
+	return nil
+}
+
+// parseFlags binds every flag straight onto a config.Default() (the
+// single-event groups onto local events armed only when their time flag is
+// set), parses args, and validates the result.
+func parseFlags(args []string) (config.SystemConfig, options, error) {
+	cfg := config.Default()
+	var opts options
+	fs := flag.NewFlagSet("gputn-bench", flag.ContinueOnError)
+	fs.SetOutput(io.Discard) // run reports the error; -h prints usage below
+	us := func(t *sim.Time, name, usage string) { fs.Var(&timeFlag{t, sim.Microsecond}, name, usage) }
+	nodes := func(l *[]int, name, usage string) { fs.Var(&nodeList{l}, name, usage) }
+
+	fs.StringVar(&opts.exp, "exp", "all", "experiment to run (-list describes them), figures, or all")
+	fs.BoolVar(&opts.list, "list", false, "list all experiments with one-line descriptions and exit")
+	fs.StringVar(&opts.out, "out", "", "also write figure data as CSV and the timelines as Chrome traces into this directory")
+	fs.IntVar(&opts.parallel, "parallel", runtime.NumCPU(), "worker threads for sweep replicas (1 = serial)")
+	fs.IntVar(&cfg.Shards, "shards", 0, "intra-run node shards for the parallel event engine (0 = serial seed-exact engine; N>=1 = conservative bounded-window engine, results shard-count invariant)")
+
+	fs.StringVar(&opts.perfPreset, "perf-preset", "full", "perf harness preset: full|smoke")
+	fs.StringVar(&opts.benchOut, "bench-out", "BENCH_sim.json", "write the perf report JSON here (empty = don't write)")
+	fs.StringVar(&opts.benchBase, "bench-baseline", "", "compare the perf report against this baseline JSON")
+	fs.StringVar(&opts.cpuprofile, "cpuprofile", "", "write a CPU profile here")
+	fs.StringVar(&opts.memprofile, "memprofile", "", "write a heap profile here at exit")
+
+	f := &cfg.Faults
+	fs.Int64Var(&f.Seed, "fault-seed", 42, "fault injector RNG seed")
+	fs.Float64Var(&f.DropProb, "fault-drop", 0, "per-packet drop probability [0,1]")
+	fs.Float64Var(&f.CorruptProb, "fault-corrupt", 0, "per-packet corruption probability [0,1]")
+	fs.IntVar(&f.FlapNode, "fault-flap-node", 0, "node whose links flap during the flap window")
+	us(&f.FlapStart, "fault-flap-start-us", "flap window start (us)")
+	us(&f.FlapEnd, "fault-flap-end-us", "flap window end (us); 0 disables flapping")
+	var reliable bool
+	rel := config.DefaultReliability()
+	fs.BoolVar(&reliable, "reliable", false, "enable the NIC reliable-delivery layer (seq/ack/retransmit)")
+	fs.BoolVar(&rel.AdaptiveRTO, "adaptive-rto", false, "use the per-peer Jacobson/Karels adaptive retransmit timer (takes effect only with -reliable)")
+
+	part := config.PartitionConfig{Events: make([]config.PartitionEvent, 1)}
+	pe := &part.Events[0]
+	nodes(&pe.A, "part-a", "comma-separated node list forming partition side A")
+	nodes(&pe.B, "part-b", "partition side B; empty = everyone not in side A")
+	us(&pe.At, "part-at-us", "partition cut time (us); 0 disables the partition schedule")
+	us(&pe.HealAfter, "part-heal-us", "heal delay after the cut (us); 0 = never heals")
+	fs.BoolVar(&pe.Asymmetric, "part-asym", false, "asymmetric cut: blackhole only A->B traffic, deliver B->A")
+
+	degrade := config.DegradeConfig{Windows: make([]config.DegradeWindow, 1)}
+	dw := &degrade.Windows[0]
+	fs.IntVar(&dw.Src, "degrade-src", -1, "gray-link source node (-1 = any)")
+	fs.IntVar(&dw.Dst, "degrade-dst", -1, "gray-link destination node (-1 = any)")
+	us(&dw.From, "degrade-from-us", "gray-link window start (us)")
+	us(&dw.Until, "degrade-until-us", "gray-link window end (us); 0 disables the window")
+	fs.Float64Var(&dw.LatencyFactor, "degrade-factor", 0, "latency multiplier on the gray link (>1 slows it)")
+	fs.Float64Var(&dw.LossProb, "degrade-loss", 0, "per-packet loss probability on the gray link [0,1]")
+	fs.BoolVar(&dw.Ramp, "degrade-ramp", false, "ramp the loss linearly from 0 to -degrade-loss over the window")
+
+	crash := config.CrashConfig{Events: make([]config.CrashEvent, 1)}
+	ce := &crash.Events[0]
+	fs.IntVar(&ce.Node, "crash-node", 0, "node the -crash-at-us event kills")
+	us(&ce.At, "crash-at-us", "crash-stop time (us); 0 disables the crash schedule")
+	us(&ce.RestartAfter, "crash-restart-us", "restart delay after the crash (us); 0 = never restarts")
+	var health config.HealthConfig // non-zero timings override config.DefaultHealth()
+	us(&health.Period, "health-period-us", "heartbeat GPU-tick period (us); 0 = default")
+	us(&health.SuspectAfter, "health-suspect-us", "silence before a node is suspected dead (us); 0 = default")
+	us(&health.StabilizeDelay, "health-stabilize-us", "view-stability window before reintegration (us); 0 = default")
+	fs.BoolVar(&health.SlowDetect, "hedge", false, "arm progress-based fail-slow detection in the health suite (implies health)")
+
+	sdc := config.SDCConfig{}
+	fs.Int64Var(&sdc.Seed, "sdc-seed", 42, "SDC plan private RNG seed")
+	fs.Float64Var(&sdc.WireProb, "sdc-wire", 0, "per-packet silent wire-corruption probability [0,1] (link CRC stays green)")
+	fs.Float64Var(&sdc.BufferProb, "sdc-buffer", 0, "per-send buffer-corruption-at-rest probability [0,1] on -sdc-buffer-node")
+	fs.IntVar(&sdc.BufferNode, "sdc-buffer-node", 0, "node whose send buffers corrupt at rest")
+	fs.IntVar(&sdc.FaultyRank, "sdc-rank", 0, "rank whose reduction combines are wrong during the faulty window")
+	us(&sdc.FaultyFrom, "sdc-from-us", "faulty-reducer window start (us)")
+	us(&sdc.FaultyUntil, "sdc-until-us", "faulty-reducer window end (us); 0 disables the window")
+	fs.BoolVar(&cfg.NIC.E2EChecksum, "e2e", false, "arm the end-to-end payload checksum (CRC32C, verified at the destination)")
+	fs.Var(&timeFlag{&cfg.NIC.E2EChecksumLatency, sim.Nanosecond}, "e2e-latency-ns", "modeled per-message checksum compute/verify cost (ns)")
+
+	slow := config.SlowConfig{Windows: make([]config.SlowWindow, 1)}
+	sw := &slow.Windows[0]
+	fs.Int64Var(&slow.Seed, "slow-seed", 42, "fail-slow plan private RNG seed")
+	fs.IntVar(&sw.Node, "slow-node", 0, "node the fail-slow window dilates")
+	us(&sw.From, "slow-from-us", "fail-slow window start (us)")
+	us(&sw.Until, "slow-until-us", "fail-slow window end (us); 0 disables the window")
+	fs.Float64Var(&sw.GPUFactor, "slow-gpu-factor", 0, "GPU compute dilation factor inside the window (>1 slows)")
+	fs.Float64Var(&sw.CmdFactor, "slow-cmd-factor", 0, "NIC command-parse stretch factor inside the window (>1 slows)")
+	fs.Float64Var(&sw.CmdStallProb, "slow-stall-prob", 0, "per-command hard-stall probability inside the window [0,1]")
+	us(&sw.CmdStallTime, "slow-stall-us", "duration of each hard command stall (us)")
+	fs.Float64Var(&sw.DMAFactor, "slow-dma-factor", 0, "DMA transfer dilation factor inside the window (>1 slows)")
+
+	var scenario config.ScenarioConfig
+	var domains, events string
+	fs.Int64Var(&scenario.Seed, "scenario-seed", 42, "composed-scenario private jitter RNG seed")
+	fs.StringVar(&domains, "scenario-domains", "", `named failure domains, e.g. "rack0=0,1,2,3;rack1=4,5,6,7"`)
+	fs.StringVar(&events, "scenario-events", "", `correlated events over the domains, e.g. "rackfail:rack0@50us,heal=80us,jitter=10us"; empty disables the composer`)
+	fs.Int64Var(&opts.chaos.Seed, "chaos-seed", 42, "chaos-search scenario-sampling seed")
+	fs.IntVar(&opts.chaos.Trials, "chaos-trials", 6, "chaos-search scenarios sampled per run")
+	fs.StringVar(&opts.chaos.Inject, "chaos-inject", "", "arm a seeded protocol bug for chaossearch: doublefire|staledeliver")
+	fs.BoolVar(&opts.chaosReplay, "chaos-replay", false, "replay the -scenario-* flags on every backend and report audit verdicts instead of searching")
+
+	rc := &cfg.NIC.Resources
+	fs.IntVar(&rc.TriggerEntries, "cap-trigger-entries", 0, "trigger-list capacity (0 = paper default of 16)")
+	fs.IntVar(&rc.PlaceholderEntries, "cap-placeholders", 0, "relaxed-sync placeholder budget (0 = shared with trigger list)")
+	fs.IntVar(&rc.CmdQueueDepth, "cap-cmdq", 0, "host command-queue depth; full queues backpressure posters (0 = unbounded)")
+	fs.IntVar(&cfg.NIC.TriggerFIFODepth, "cap-trigger-fifo", 0, "trigger FIFO depth; overflow drops and counts (0 = unbounded)")
+	fs.IntVar(&rc.EQDepth, "cap-eq", 0, "default event-queue capacity; overflow drops PTL_EQ_DROPPED-style (0 = unbounded)")
+
+	ft := &cfg.Network.FatTree
+	fs.StringVar(&cfg.Network.Topology, "topo", "", "interconnect topology: star|fattree (empty = the Table 2 star)")
+	fs.IntVar(&ft.LeafSize, "topo-leaf", 0, "fat-tree nodes per leaf switch (0 = 4)")
+	fs.IntVar(&ft.PodLeaves, "topo-podleaves", 0, "fat-tree leaf switches per pod (0 = 2)")
+	fs.IntVar(&ft.Spines, "topo-spines", 0, "fat-tree spine switches per pod (0 = 2)")
+	fs.IntVar(&ft.Cores, "topo-cores", 0, "fat-tree core switches (0 = spines)")
+	fs.IntVar(&ft.QueueCredits, "topo-credits", 0, "fat-tree per-port queue credits; senders backpressure when exhausted (0 = unbounded)")
+	fs.IntVar(&ft.ECNThreshold, "topo-ecn", 0, "fat-tree ECN marking threshold in queued frames (0 = never mark)")
+	sws := config.SwitchConfig{Events: make([]config.SwitchEvent, 1)}
+	se := &sws.Events[0]
+	fs.StringVar(&se.Tier, "switch-tier", "", "deterministic switch-kill tier: leaf|spine|core|trunk (needs -switch-at-us)")
+	fs.IntVar(&se.Index, "switch-index", 0, "switch index within -switch-tier")
+	fs.StringVar(&se.A, "switch-a", "", `trunk endpoint A ref for -switch-tier trunk, e.g. "leaf0"`)
+	fs.StringVar(&se.B, "switch-b", "", `trunk endpoint B ref for -switch-tier trunk, e.g. "spine1"`)
+	us(&se.At, "switch-at-us", "switch-kill time (us); 0 disables the switch schedule")
+	us(&se.RestoreAfter, "switch-restore-us", "restore delay after the kill (us); 0 = never restored")
+
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			fs.SetOutput(os.Stderr)
+			fs.Usage()
+		}
+		return cfg, opts, err
+	}
+
+	if pe.At > 0 {
+		cfg.Faults.Partition = part
+	}
+	if dw.Until > 0 {
+		cfg.Faults.Degrade = degrade
+	}
+	if sdc.WireProb > 0 || sdc.BufferProb > 0 || sdc.FaultyUntil > 0 {
+		cfg.Faults.SDC = sdc
+	}
+	if sw.Until > 0 {
+		cfg.Faults.Slow = slow
+	}
+	if se.At > 0 {
+		cfg.Faults.Switch = sws
+	}
+	if reliable {
+		cfg.NIC.Reliability = rel
+	}
+	if events != "" {
+		var err error
+		if scenario.Domains, err = config.ParseScenarioDomains(domains); err != nil {
+			return cfg, opts, fmt.Errorf("-scenario-domains: %w", err)
+		}
+		if scenario.Events, err = config.ParseScenarioEvents(events); err != nil {
+			return cfg, opts, fmt.Errorf("-scenario-events: %w", err)
+		}
+		cfg.Scenario = scenario
+	}
+	if ce.At > 0 {
+		cfg.Crash = crash
+	}
+	if ce.At > 0 || health.SlowDetect || health.Period > 0 || health.SuspectAfter > 0 || health.StabilizeDelay > 0 {
+		cfg.Health = config.DefaultHealth()
+		cfg.Health.SlowDetect = health.SlowDetect
+		if health.Period > 0 {
+			cfg.Health.Period = health.Period
+		}
+		if health.SuspectAfter > 0 {
+			cfg.Health.SuspectAfter = health.SuspectAfter
+		}
+		if health.StabilizeDelay > 0 {
+			cfg.Health.StabilizeDelay = health.StabilizeDelay
+		}
+	}
+	return cfg, opts, cfg.Validate()
+}
+
+// writeFile creates path, fills it with write, and reports it on stderr.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+	return nil
 }
 
 // writeCSV saves a figure's series to <dir>/<name>.csv when dir is set.
@@ -153,129 +362,36 @@ func writeCSV(dir, name, xlabel string, series []*stats.Series) error {
 	if dir == "" {
 		return nil
 	}
-	path := filepath.Join(dir, name+".csv")
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := stats.WriteSeriesCSV(f, xlabel, series); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-	return nil
+	return writeFile(filepath.Join(dir, name+".csv"), func(w io.Writer) error {
+		return stats.WriteSeriesCSV(w, xlabel, series)
+	})
 }
 
 func main() { os.Exit(run()) }
 
 // run is main minus os.Exit, so profile-flushing defers always execute.
 func run() int {
-	exp := flag.String("exp", "all", "experiment to run: fig1|fig8|fig9|fig10|fig11|table1|table2|table3|ablations|faults|resources|crash|partitions|sdc|stragglers|chaossearch|perf|figures|all")
-	list := flag.Bool("list", false, "list all experiments with one-line descriptions and exit")
-	csvDir := flag.String("csv", "", "also write figure data as CSV into this directory")
-	parallel := flag.Int("parallel", runtime.NumCPU(), "worker threads for sweep replicas (1 = serial)")
-	shards := flag.Int("shards", 0, "intra-run node shards for the parallel event engine (0 = serial seed-exact engine; N>=1 = conservative bounded-window engine, results shard-count invariant)")
-
-	perfPreset := flag.String("perf-preset", "full", "perf harness preset: full|smoke")
-	benchOut := flag.String("bench-out", "BENCH_sim.json", "write the perf report JSON here (empty = don't write)")
-	benchBaseline := flag.String("bench-baseline", "", "compare the perf report against this baseline JSON")
-	benchTolerance := flag.Float64("bench-tolerance", 0.30, "allowed fractional events/sec regression vs baseline")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile here")
-	memprofile := flag.String("memprofile", "", "write a heap profile here at exit")
-
-	faultSeed := flag.Int64("fault-seed", 42, "fault injector RNG seed")
-	faultDrop := flag.Float64("fault-drop", 0, "per-packet drop probability [0,1]")
-	faultCorrupt := flag.Float64("fault-corrupt", 0, "per-packet corruption probability [0,1]")
-	flapNode := flag.Int("fault-flap-node", 0, "node whose links flap during the flap window")
-	flapStartUS := flag.Float64("fault-flap-start-us", 0, "flap window start (us)")
-	flapEndUS := flag.Float64("fault-flap-end-us", 0, "flap window end (us); 0 disables flapping")
-	reliable := flag.Bool("reliable", false, "enable the NIC reliable-delivery layer (seq/ack/retransmit)")
-
-	partA := flag.String("part-a", "", "comma-separated node list forming partition side A; empty disables the partition schedule")
-	partB := flag.String("part-b", "", "partition side B; empty = everyone not in side A")
-	partAtUS := flag.Float64("part-at-us", 0, "partition cut time (us); 0 disables the partition schedule")
-	partHealUS := flag.Float64("part-heal-us", 0, "heal delay after the cut (us); 0 = never heals")
-	partAsym := flag.Bool("part-asym", false, "asymmetric cut: blackhole only A->B traffic, deliver B->A")
-
-	degradeSrc := flag.Int("degrade-src", -1, "gray-link source node (-1 = any)")
-	degradeDst := flag.Int("degrade-dst", -1, "gray-link destination node (-1 = any)")
-	degradeFromUS := flag.Float64("degrade-from-us", 0, "gray-link window start (us)")
-	degradeUntilUS := flag.Float64("degrade-until-us", 0, "gray-link window end (us); 0 disables the window")
-	degradeFactor := flag.Float64("degrade-factor", 0, "latency multiplier on the gray link (>1 slows it)")
-	degradeLoss := flag.Float64("degrade-loss", 0, "per-packet loss probability on the gray link [0,1]")
-	degradeRamp := flag.Bool("degrade-ramp", false, "ramp the loss linearly from 0 to -degrade-loss over the window")
-	adaptiveRTO := flag.Bool("adaptive-rto", false, "use the per-peer Jacobson/Karels adaptive retransmit timer (implies -reliable behavior only when -reliable is set)")
-
-	crashNode := flag.Int("crash-node", 0, "node the -crash-at-us event kills")
-	crashAtUS := flag.Float64("crash-at-us", 0, "crash-stop time (us); 0 disables the crash schedule")
-	crashRestartUS := flag.Float64("crash-restart-us", 0, "restart delay after the crash (us); 0 = never restarts")
-	healthPeriodUS := flag.Float64("health-period-us", 0, "heartbeat GPU-tick period (us); 0 = default")
-	healthSuspectUS := flag.Float64("health-suspect-us", 0, "silence before a node is suspected dead (us); 0 = default")
-	healthStabilizeUS := flag.Float64("health-stabilize-us", 0, "view-stability window before reintegration (us); 0 = default")
-
-	sdcSeed := flag.Int64("sdc-seed", 42, "SDC plan private RNG seed")
-	sdcWire := flag.Float64("sdc-wire", 0, "per-packet silent wire-corruption probability [0,1] (link CRC stays green)")
-	sdcBuffer := flag.Float64("sdc-buffer", 0, "per-send buffer-corruption-at-rest probability [0,1] on -sdc-buffer-node")
-	sdcBufferNode := flag.Int("sdc-buffer-node", 0, "node whose send buffers corrupt at rest")
-	sdcRank := flag.Int("sdc-rank", 0, "rank whose reduction combines are wrong during the faulty window")
-	sdcFromUS := flag.Float64("sdc-from-us", 0, "faulty-reducer window start (us)")
-	sdcUntilUS := flag.Float64("sdc-until-us", 0, "faulty-reducer window end (us); 0 disables the window")
-	e2e := flag.Bool("e2e", false, "arm the end-to-end payload checksum (CRC32C, verified at the destination)")
-	e2eLatencyNS := flag.Float64("e2e-latency-ns", 0, "modeled per-message checksum compute/verify cost (ns)")
-
-	slowSeed := flag.Int64("slow-seed", 42, "fail-slow plan private RNG seed")
-	slowNode := flag.Int("slow-node", 0, "node the fail-slow window dilates")
-	slowFromUS := flag.Float64("slow-from-us", 0, "fail-slow window start (us)")
-	slowUntilUS := flag.Float64("slow-until-us", 0, "fail-slow window end (us); 0 disables the window")
-	slowGPU := flag.Float64("slow-gpu-factor", 0, "GPU compute dilation factor inside the window (>1 slows)")
-	slowCmd := flag.Float64("slow-cmd-factor", 0, "NIC command-parse stretch factor inside the window (>1 slows)")
-	slowStallProb := flag.Float64("slow-stall-prob", 0, "per-command hard-stall probability inside the window [0,1]")
-	slowStallUS := flag.Float64("slow-stall-us", 0, "duration of each hard command stall (us)")
-	slowDMA := flag.Float64("slow-dma-factor", 0, "DMA transfer dilation factor inside the window (>1 slows)")
-	hedge := flag.Bool("hedge", false, "arm progress-based fail-slow detection in the health suite (implies health)")
-
-	scenarioSeed := flag.Int64("scenario-seed", 42, "composed-scenario private jitter RNG seed")
-	scenarioDomains := flag.String("scenario-domains", "", `named failure domains, e.g. "rack0=0,1,2,3;rack1=4,5,6,7"`)
-	scenarioEvents := flag.String("scenario-events", "", `correlated events over the domains, e.g. "rackfail:rack0@50us,heal=80us,jitter=10us"; empty disables the composer`)
-	chaosSeed := flag.Int64("chaos-seed", 42, "chaos-search scenario-sampling seed")
-	chaosTrials := flag.Int("chaos-trials", 6, "chaos-search scenarios sampled per run")
-	chaosInject := flag.String("chaos-inject", "", "arm a seeded protocol bug for chaossearch: doublefire|staledeliver")
-	chaosReplay := flag.Bool("chaos-replay", false, "replay the -scenario-* flags on every backend and report audit verdicts instead of searching")
-
-	capTrig := flag.Int("cap-trigger-entries", 0, "trigger-list capacity (0 = paper default of 16)")
-	capPlaceholders := flag.Int("cap-placeholders", 0, "relaxed-sync placeholder budget (0 = shared with trigger list)")
-	capCmdQ := flag.Int("cap-cmdq", 0, "host command-queue depth; full queues backpressure posters (0 = unbounded)")
-	capTrigFIFO := flag.Int("cap-trigger-fifo", 0, "trigger FIFO depth; overflow drops and counts (0 = unbounded)")
-	capEQ := flag.Int("cap-eq", 0, "default event-queue capacity; overflow drops PTL_EQ_DROPPED-style (0 = unbounded)")
-
-	topo := flag.String("topo", "", "interconnect topology: star|fattree (empty = the Table 2 star)")
-	topoLeaf := flag.Int("topo-leaf", 0, "fat-tree nodes per leaf switch (0 = 4)")
-	topoPodLeaves := flag.Int("topo-podleaves", 0, "fat-tree leaf switches per pod (0 = 2)")
-	topoSpines := flag.Int("topo-spines", 0, "fat-tree spine switches per pod (0 = 2)")
-	topoCores := flag.Int("topo-cores", 0, "fat-tree core switches (0 = spines)")
-	topoCredits := flag.Int("topo-credits", 0, "fat-tree per-port queue credits; senders backpressure when exhausted (0 = unbounded)")
-	topoECN := flag.Int("topo-ecn", 0, "fat-tree ECN marking threshold in queued frames (0 = never mark)")
-	switchTier := flag.String("switch-tier", "", "deterministic switch-kill tier: leaf|spine|core|trunk (needs -switch-at-us)")
-	switchIndex := flag.Int("switch-index", 0, "switch index within -switch-tier")
-	switchA := flag.String("switch-a", "", `trunk endpoint A ref for -switch-tier trunk, e.g. "leaf0"`)
-	switchB := flag.String("switch-b", "", `trunk endpoint B ref for -switch-tier trunk, e.g. "spine1"`)
-	switchAtUS := flag.Float64("switch-at-us", 0, "switch-kill time (us); 0 disables the switch schedule")
-	switchRestoreUS := flag.Float64("switch-restore-us", 0, "restore delay after the kill (us); 0 = never restored")
-	flag.Parse()
-
-	if *list {
+	cfg, opts, err := parseFlags(os.Args[1:])
+	if err == flag.ErrHelp {
+		return 0
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "gputn-bench:", err)
+		return 2
+	}
+	if opts.list {
 		for _, e := range experimentList {
-			fmt.Printf("%-10s  %s\n", e.name, e.desc)
+			fmt.Printf("%-11s  %s\n", e.name, e.desc)
 		}
-		fmt.Printf("%-10s  %s\n", "figures", "fig1+fig8+fig9+fig10+fig11")
-		fmt.Printf("%-10s  %s\n", "all", "every experiment above except perf")
+		fmt.Printf("%-11s  %s\n", "figures", "fig1+fig8+fig9+fig10+fig11")
+		fmt.Printf("%-11s  %s\n", "all", "every experiment above not marked otherwise")
 		return 0
 	}
 
-	bench.SetParallelism(*parallel)
+	bench.SetParallelism(opts.parallel)
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+	if opts.cpuprofile != "" {
+		f, err := os.Create(opts.cpuprofile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "gputn-bench:", err)
 			return 2
@@ -287,175 +403,52 @@ func run() int {
 		defer func() {
 			pprof.StopCPUProfile()
 			f.Close()
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *cpuprofile)
+			fmt.Fprintf(os.Stderr, "wrote %s\n", opts.cpuprofile)
 		}()
 	}
-	if *memprofile != "" {
+	if opts.memprofile != "" {
 		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "gputn-bench:", err)
-				return
-			}
-			defer f.Close()
 			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
+			if err := writeFile(opts.memprofile, pprof.WriteHeapProfile); err != nil {
 				fmt.Fprintln(os.Stderr, "gputn-bench:", err)
-				return
 			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *memprofile)
 		}()
 	}
 
-	cfg := config.Default()
-	cfg.Shards = *shards
-	cfg.Faults = config.FaultConfig{
-		Seed:        *faultSeed,
-		DropProb:    *faultDrop,
-		CorruptProb: *faultCorrupt,
-		FlapNode:    *flapNode,
-		FlapStart:   sim.Time(*flapStartUS * float64(sim.Microsecond)),
-		FlapEnd:     sim.Time(*flapEndUS * float64(sim.Microsecond)),
-	}
-	if *partAtUS > 0 {
-		a, err := parseNodeList(*partA)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gputn-bench: -part-a:", err)
-			return 2
-		}
-		b, err := parseNodeList(*partB)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gputn-bench: -part-b:", err)
-			return 2
-		}
-		cfg.Faults.Partition = config.PartitionConfig{Events: []config.PartitionEvent{{
-			A:          a,
-			B:          b,
-			At:         sim.Time(*partAtUS * float64(sim.Microsecond)),
-			HealAfter:  sim.Time(*partHealUS * float64(sim.Microsecond)),
-			Asymmetric: *partAsym,
-		}}}
-	}
-	if *degradeUntilUS > 0 {
-		cfg.Faults.Degrade = config.DegradeConfig{Windows: []config.DegradeWindow{{
-			Src:           *degradeSrc,
-			Dst:           *degradeDst,
-			From:          sim.Time(*degradeFromUS * float64(sim.Microsecond)),
-			Until:         sim.Time(*degradeUntilUS * float64(sim.Microsecond)),
-			LatencyFactor: *degradeFactor,
-			LossProb:      *degradeLoss,
-			Ramp:          *degradeRamp,
-		}}}
-	}
-	if *sdcWire > 0 || *sdcBuffer > 0 || *sdcUntilUS > 0 {
-		cfg.Faults.SDC = config.SDCConfig{
-			Seed:        *sdcSeed,
-			WireProb:    *sdcWire,
-			BufferProb:  *sdcBuffer,
-			BufferNode:  *sdcBufferNode,
-			FaultyRank:  *sdcRank,
-			FaultyFrom:  sim.Time(*sdcFromUS * float64(sim.Microsecond)),
-			FaultyUntil: sim.Time(*sdcUntilUS * float64(sim.Microsecond)),
-		}
-	}
-	if *e2e {
-		cfg.NIC.E2EChecksum = true
-		cfg.NIC.E2EChecksumLatency = sim.Time(*e2eLatencyNS * float64(sim.Nanosecond))
-	}
-	if *slowUntilUS > 0 {
-		cfg.Faults.Slow = config.SlowConfig{
-			Seed: *slowSeed,
-			Windows: []config.SlowWindow{{
-				Node:         *slowNode,
-				From:         sim.Time(*slowFromUS * float64(sim.Microsecond)),
-				Until:        sim.Time(*slowUntilUS * float64(sim.Microsecond)),
-				GPUFactor:    *slowGPU,
-				CmdFactor:    *slowCmd,
-				CmdStallProb: *slowStallProb,
-				CmdStallTime: sim.Time(*slowStallUS * float64(sim.Microsecond)),
-				DMAFactor:    *slowDMA,
-			}},
-		}
-	}
-	if *reliable {
-		cfg.NIC.Reliability = config.DefaultReliability()
-		cfg.NIC.Reliability.AdaptiveRTO = *adaptiveRTO
-	}
-	if *scenarioEvents != "" {
-		doms, err := config.ParseScenarioDomains(*scenarioDomains)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gputn-bench: -scenario-domains:", err)
-			return 2
-		}
-		evs, err := config.ParseScenarioEvents(*scenarioEvents)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gputn-bench: -scenario-events:", err)
-			return 2
-		}
-		cfg.Scenario = config.ScenarioConfig{Seed: *scenarioSeed, Domains: doms, Events: evs}
-	}
-	if *crashAtUS > 0 {
-		cfg.Crash = config.CrashConfig{Events: []config.CrashEvent{{
-			Node:         *crashNode,
-			At:           sim.Time(*crashAtUS * float64(sim.Microsecond)),
-			RestartAfter: sim.Time(*crashRestartUS * float64(sim.Microsecond)),
-		}}}
-	}
-	if *crashAtUS > 0 || *hedge || *healthPeriodUS > 0 || *healthSuspectUS > 0 || *healthStabilizeUS > 0 {
-		cfg.Health = config.DefaultHealth()
-		if *healthPeriodUS > 0 {
-			cfg.Health.Period = sim.Time(*healthPeriodUS * float64(sim.Microsecond))
-		}
-		if *healthSuspectUS > 0 {
-			cfg.Health.SuspectAfter = sim.Time(*healthSuspectUS * float64(sim.Microsecond))
-		}
-		if *healthStabilizeUS > 0 {
-			cfg.Health.StabilizeDelay = sim.Time(*healthStabilizeUS * float64(sim.Microsecond))
-		}
-		cfg.Health.SlowDetect = *hedge
-	}
-	cfg.NIC.Resources = config.ResourceConfig{
-		TriggerEntries:     *capTrig,
-		PlaceholderEntries: *capPlaceholders,
-		CmdQueueDepth:      *capCmdQ,
-		EQDepth:            *capEQ,
-	}
-	if *capTrigFIFO > 0 {
-		cfg.NIC.TriggerFIFODepth = *capTrigFIFO
-	}
-	if *topo != "" {
-		cfg.Network.Topology = *topo
-	}
-	cfg.Network.FatTree = config.TopologyConfig{
-		LeafSize:     *topoLeaf,
-		PodLeaves:    *topoPodLeaves,
-		Spines:       *topoSpines,
-		Cores:        *topoCores,
-		QueueCredits: *topoCredits,
-		ECNThreshold: *topoECN,
-	}
-	if *switchAtUS > 0 {
-		cfg.Faults.Switch = config.SwitchConfig{Events: []config.SwitchEvent{{
-			Tier:         *switchTier,
-			Index:        *switchIndex,
-			A:            *switchA,
-			B:            *switchB,
-			At:           sim.Time(*switchAtUS * float64(sim.Microsecond)),
-			RestoreAfter: sim.Time(*switchRestoreUS * float64(sim.Microsecond)),
-		}}}
-	}
-	if err := cfg.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "gputn-bench:", err)
-		return 2
-	}
-	if cfg.Faults.Enabled() && !*reliable {
+	if cfg.Faults.Enabled() && !cfg.NIC.Reliability.Enabled {
 		fmt.Fprintln(os.Stderr, "warning: faults armed without -reliable; lossy runs may lose messages and hang or skew results")
 	}
-	if cfg.Crash.Enabled() && *exp != "crash" {
+	if cfg.Crash.Enabled() && opts.exp != "crash" {
 		fmt.Fprintln(os.Stderr, "warning: -crash-* armed for a non-crash experiment; only crash-aware recovery drivers survive a mid-run crash")
 	}
-	// Run header: every invocation states its fault and crash schedules up
-	// front so saved outputs are self-describing.
+	printHeader(cfg)
+
+	runners := runners(cfg, opts)
+	var names []string
+	switch opts.exp {
+	case "all":
+		names = allOrder
+	case "figures":
+		names = figureOrder
+	default:
+		if _, ok := runners[opts.exp]; !ok {
+			fmt.Fprintf(os.Stderr, "unknown experiment %q (want figures, all, or one that -list names)\n", opts.exp)
+			return 2
+		}
+		names = []string{opts.exp}
+	}
+	for _, name := range names {
+		if err := runners[name](); err != nil {
+			fmt.Fprintln(os.Stderr, "gputn-bench:", err)
+			return 1
+		}
+	}
+	return 0
+}
+
+// printHeader states the run's fault, crash, topology, and NIC settings up
+// front so saved outputs are self-describing.
+func printHeader(cfg config.SystemConfig) {
 	if cfg.Shards > 0 {
 		fmt.Printf("engine: sharded (shards=%d, conservative bounded-window sync)\n", cfg.Shards)
 	}
@@ -481,8 +474,7 @@ func run() int {
 				h.EffectiveSlowThreshold(), h.EffectiveSlowRecover(), h.EffectiveSlowGrace())
 		}
 	}
-	if *reliable {
-		r := cfg.NIC.Reliability
+	if r := cfg.NIC.Reliability; r.Enabled {
 		rto := "static"
 		if r.AdaptiveRTO {
 			rto = "adaptive (Jacobson/Karels)"
@@ -493,18 +485,22 @@ func run() int {
 	if cfg.NIC.E2EChecksum {
 		fmt.Printf("e2e checksum: on latency=%v\n", cfg.NIC.E2EChecksumLatency)
 	}
-	if rc := cfg.NIC.Resources; rc.Enabled() || *capTrigFIFO > 0 {
+	if rc := cfg.NIC.Resources; rc.Enabled() || cfg.NIC.TriggerFIFODepth > 0 {
 		fmt.Printf("resources: triggerEntries=%d placeholders=%d cmdq=%d trigFIFO=%d eq=%d (0 = unbounded/default)\n",
 			rc.TriggerEntries, rc.PlaceholderEntries, rc.CmdQueueDepth, cfg.NIC.TriggerFIFODepth, rc.EQDepth)
 	}
 	fmt.Println()
-	runners := map[string]func() error{
+}
+
+// runners maps every experiment name to the closure that runs it under cfg.
+func runners(cfg config.SystemConfig, opts options) map[string]func() error {
+	return map[string]func() error{
 		"fig1": func() error {
 			series := bench.Figure1(cfg)
 			fmt.Println(stats.RenderSeries("Figure 1: kernel launch latency (us) vs queued kernel commands",
 				"queued", series))
 			fmt.Println(stats.Plot(series, stats.PlotOptions{LogX: true, XLabel: "queued kernel commands", Title: "launch latency (us)"}))
-			return writeCSV(*csvDir, "fig1", "queued", series)
+			return writeCSV(opts.out, "fig1", "queued", series)
 		},
 		"fig8": func() error {
 			res := bench.Figure8Extended(cfg)
@@ -518,14 +514,14 @@ func run() int {
 			fmt.Println(stats.RenderSeries("Figure 9: Jacobi speedup vs HDN (2x2 nodes, per-iteration)",
 				"N", series))
 			fmt.Println(stats.Plot(series, stats.PlotOptions{LogX: true, XLabel: "local grid N", Title: "speedup vs HDN"}))
-			return writeCSV(*csvDir, "fig9", "N", series)
+			return writeCSV(opts.out, "fig9", "N", series)
 		},
 		"fig10": func() error {
 			series := bench.Figure10(cfg)
 			fmt.Println(stats.RenderSeries("Figure 10: 8MB Allreduce speedup vs CPU (strong scaling)",
 				"nodes", series))
 			fmt.Println(stats.Plot(series, stats.PlotOptions{XLabel: "nodes", Title: "speedup vs CPU"}))
-			return writeCSV(*csvDir, "fig10", "nodes", series)
+			return writeCSV(opts.out, "fig10", "nodes", series)
 		},
 		"fig11": func() error {
 			results, err := bench.Figure11(cfg)
@@ -577,75 +573,83 @@ func run() int {
 			fmt.Println(bench.RenderStragglers(cfg))
 			return nil
 		},
+		"timelines": func() error {
+			res := bench.Figure8(cfg)
+			fmt.Print(bench.RenderTimelines(res))
+			if opts.out == "" {
+				return nil
+			}
+			for _, kind := range bench.TimelineKinds {
+				name := "fig8-" + strings.ToLower(strings.ReplaceAll(kind.String(), "-", "")) + ".trace.json"
+				if err := writeFile(filepath.Join(opts.out, name), res.Runs[kind].Tracer.WriteChromeTrace); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		"mlsweep": func() error {
+			out, err := bench.RenderMLSweep(cfg)
+			fmt.Print(out)
+			return err
+		},
+		"mltrain": func() error {
+			out, err := bench.RenderMLTrain(cfg)
+			fmt.Print(out)
+			return err
+		},
+		"sensitivity": func() error {
+			grids := bench.Sensitivity(cfg)
+			for _, base := range bench.SensitivityBaselines {
+				fmt.Println(bench.RenderSensitivity(base, grids[base]))
+				name := "sensitivity-" + strings.ToLower(base.String())
+				if err := writeCSV(opts.out, name, "gbps", grids[base]); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
 		"chaossearch": func() error {
 			// Search mode samples -chaos-trials random composed scenarios and
 			// shrinks the first auditor violation; replay mode reruns the
 			// -scenario-* flags (a minimized reproducer) on every backend.
-			if *chaosReplay {
+			if opts.chaosReplay {
 				if !cfg.Scenario.Enabled() {
 					return fmt.Errorf("chaossearch: -chaos-replay needs -scenario-domains/-scenario-events")
 				}
-				fmt.Println(bench.RenderChaosReplay(cfg, *chaosInject))
+				fmt.Println(bench.RenderChaosReplay(cfg, opts.chaos.Inject))
 				return nil
 			}
-			fmt.Println(bench.RenderChaosSearch(cfg, bench.ChaosConfig{
-				Seed:   *chaosSeed,
-				Trials: *chaosTrials,
-				Inject: *chaosInject,
-			}))
+			fmt.Println(bench.RenderChaosSearch(cfg, opts.chaos))
 			return nil
 		},
 		"perf": func() error {
-			rep, err := bench.RunPerf(cfg, *perfPreset, perfRuns)
+			rep, err := bench.RunPerf(cfg, opts.perfPreset, perfRuns)
 			if err != nil {
 				return err
 			}
 			fmt.Println(rep.Render())
 			var regressions []string
-			if *benchBaseline != "" {
-				base, err := bench.LoadPerfReport(*benchBaseline)
+			if opts.benchBase != "" {
+				base, err := bench.LoadPerfReport(opts.benchBase)
 				if err != nil {
 					return err
 				}
-				regressions = bench.ComparePerf(rep, base, *benchTolerance)
+				regressions = bench.ComparePerf(rep, base, perfTolerance)
 			}
-			if *benchOut != "" {
-				if err := rep.WriteJSON(*benchOut); err != nil {
+			if opts.benchOut != "" {
+				if err := rep.WriteJSON(opts.benchOut); err != nil {
 					return err
 				}
-				fmt.Fprintf(os.Stderr, "wrote %s\n", *benchOut)
+				fmt.Fprintf(os.Stderr, "wrote %s\n", opts.benchOut)
 			}
 			if len(regressions) > 0 {
 				for _, r := range regressions {
 					fmt.Fprintln(os.Stderr, "perf regression:", r)
 				}
 				return fmt.Errorf("perf: %d experiment(s) regressed beyond %.0f%% vs %s",
-					len(regressions), *benchTolerance*100, *benchBaseline)
+					len(regressions), perfTolerance*100, opts.benchBase)
 			}
 			return nil
 		},
 	}
-	order := []string{"table1", "table2", "table3", "fig1", "fig8", "fig9", "fig10", "fig11", "ablations", "faults", "resources", "crash", "partitions", "sdc", "stragglers"}
-	figures := []string{"fig1", "fig8", "fig9", "fig10", "fig11"}
-
-	var names []string
-	switch *exp {
-	case "all":
-		names = order
-	case "figures":
-		names = figures
-	default:
-		if _, ok := runners[*exp]; !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (want one of %v, perf, figures, or all; -list describes them)\n", *exp, order)
-			return 2
-		}
-		names = []string{*exp}
-	}
-	for _, name := range names {
-		if err := runners[name](); err != nil {
-			fmt.Fprintln(os.Stderr, "gputn-bench:", err)
-			return 1
-		}
-	}
-	return 0
 }

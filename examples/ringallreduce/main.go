@@ -55,5 +55,5 @@ func main() {
 	}
 
 	fmt.Println("\nStrong-scale this (more nodes, same payload) and the kernel-boundary")
-	fmt.Println("backends fall behind: run `gputn-allreduce -sweep` for Figure 10.")
+	fmt.Println("backends fall behind: run `gputn-bench -exp fig10` for Figure 10.")
 }

@@ -39,6 +39,18 @@ func TestEveryExperimentAuditClean(t *testing.T) {
 		{"partitions", func(t *testing.T) { RenderPartitions(cfg) }},
 		{"sdc", func(t *testing.T) { RenderSDC(cfg) }},
 		{"stragglers", func(t *testing.T) { RenderStragglers(cfg) }},
+		{"timelines", func(t *testing.T) { RenderTimelines(Figure8(cfg)) }},
+		{"mlsweep", func(t *testing.T) {
+			if _, err := RenderMLSweep(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"mltrain", func(t *testing.T) {
+			if _, err := RenderMLTrain(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"sensitivity", func(t *testing.T) { Sensitivity(cfg) }},
 		{"chaossearch", func(t *testing.T) { RenderChaosSearch(cfg, ChaosConfig{Seed: 42, Trials: 1}) }},
 		{"fattree-incast", func(t *testing.T) { AblationFatTreeIncast(cfg, 16, 64<<10) }},
 		{"perf", func(t *testing.T) {

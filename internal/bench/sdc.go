@@ -131,6 +131,7 @@ func AblationSDC(cfg config.SystemConfig, rates []float64) []SDCPoint {
 			c := cfg
 			c.Faults = config.FaultConfig{SDC: sdc}
 			c.NIC.Reliability = config.DefaultReliability()
+			c.NIC.E2EChecksum = false
 			cl := node.NewCluster(c, sdcAblationNodes)
 			out, err := collective.Run(cl, collective.Config{
 				Kind: backends.GPUTN, TotalBytes: sdcAblationBytes, Data: data,

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/backends"
 	"repro/internal/config"
-	"repro/internal/nic"
 	"repro/internal/node"
 	"repro/internal/sim"
 )
@@ -223,61 +222,6 @@ func TestCrashRecoveryDeterministicTrace(t *testing.T) {
 	if d1 != d2 || a1 != a2 || f1 != f2 || s1 != s2 {
 		t.Fatalf("same seed diverged: dur %v/%v attempts %d/%d fenced %d/%d stale %d/%d",
 			d1, d2, a1, a2, f1, f2, s1, s2)
-	}
-}
-
-// The crash/health machinery must be pure pay-for-use: with no crash
-// scheduled and health disabled, the data path is bit-for-bit the seed
-// trace. A populated-but-disabled HealthConfig and an explicit empty
-// CrashConfig must not shift a single event, and no crash, fencing, or
-// epoch counter may move.
-func TestCrashConfigZeroIsBitForBit(t *testing.T) {
-	run := func(crash config.CrashConfig, h config.HealthConfig) (sim.Time, []nic.Stats, [][]float32) {
-		const n, nelems = 4, 256
-		data, _ := makeInputs(n, nelems, 3)
-		cfg := config.Default()
-		cfg.Faults = chaosFaults(3)
-		cfg.NIC.Reliability = config.DefaultReliability()
-		cfg.Crash = crash
-		cfg.Health = h
-		c := node.NewCluster(cfg, n)
-		out, err := Run(c, Config{Kind: backends.GPUTN, TotalBytes: nelems * elemBytes, Data: data})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var stats []nic.Stats
-		for _, nd := range c.Nodes {
-			stats = append(stats, nd.NIC.Stats())
-		}
-		return out.Duration, stats, out.Output
-	}
-
-	zeroT, zeroS, zeroOut := run(config.CrashConfig{}, config.HealthConfig{})
-	// Fields populated, feature off: must be indistinguishable from zero.
-	inert := config.DefaultHealth()
-	inert.Enabled = false
-	offT, offS, offOut := run(config.CrashConfig{Events: nil}, inert)
-
-	if zeroT != offT {
-		t.Fatalf("duration diverged: zero config %v vs disabled config %v", zeroT, offT)
-	}
-	for i := range zeroS {
-		if zeroS[i] != offS[i] {
-			t.Fatalf("node %d stats diverged:\nzero:     %+v\ndisabled: %+v", i, zeroS[i], offS[i])
-		}
-		ns := zeroS[i]
-		if ns.Crashes+ns.Restarts+ns.DownDrops+ns.StaleSrcDrops+ns.StaleDstDrops+
-			ns.EpochResets+ns.FencedCommands+ns.FencedTriggers+ns.FencedDeliveries+
-			ns.PeersDeclaredCrashed+ns.CanceledTriggers+ns.UnmatchedDrops != 0 {
-			t.Fatalf("node %d: crash-free run moved a crash counter: %+v", i, ns)
-		}
-	}
-	for r := range zeroOut {
-		for i := range zeroOut[r] {
-			if zeroOut[r][i] != offOut[r][i] {
-				t.Fatalf("rank %d elem %d diverged: %v vs %v", r, i, zeroOut[r][i], offOut[r][i])
-			}
-		}
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/backends"
 	"repro/internal/config"
-	"repro/internal/nic"
-	"repro/internal/node"
 	"repro/internal/sim"
 )
 
@@ -165,63 +163,6 @@ func TestPartitionHealRejoinsMidCollective(t *testing.T) {
 	}
 	if healed == 0 || resets == 0 {
 		t.Fatalf("post-heal traffic never reopened a fresh session: healed=%d resets=%d", healed, resets)
-	}
-}
-
-// The partition/degradation/adaptive-RTO machinery must be pure
-// pay-for-use: a populated-but-inert fault config (empty partition event
-// list, a degradation window with factor 1 and no loss, MinRTO set while
-// AdaptiveRTO is off) must replay the zero-config trace bit-for-bit, and
-// no partition counter may move.
-func TestPartitionConfigZeroIsBitForBit(t *testing.T) {
-	run := func(faults config.FaultConfig, rel config.ReliabilityConfig) (sim.Time, []nic.Stats, [][]float32) {
-		const n, nelems = 4, 256
-		data, _ := makeInputs(n, nelems, 3)
-		cfg := config.Default()
-		cfg.Faults = faults
-		cfg.NIC.Reliability = rel
-		c := node.NewCluster(cfg, n)
-		out, err := Run(c, Config{Kind: backends.GPUTN, TotalBytes: nelems * elemBytes, Data: data})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var stats []nic.Stats
-		for _, nd := range c.Nodes {
-			stats = append(stats, nd.NIC.Stats())
-		}
-		return out.Duration, stats, out.Output
-	}
-
-	zeroT, zeroS, zeroOut := run(chaosFaults(3), config.DefaultReliability())
-
-	inertFaults := chaosFaults(3)
-	inertFaults.Partition = config.PartitionConfig{Events: nil}
-	inertFaults.Degrade = config.DegradeConfig{Windows: []config.DegradeWindow{
-		{Src: -1, Dst: -1, Until: sim.Second, LatencyFactor: 1}, // no-op window
-	}}
-	inertRel := config.DefaultReliability()
-	inertRel.MinRTO = 5 * sim.Microsecond // only read by the adaptive branch
-	inertRel.AdaptiveRTO = false
-	offT, offS, offOut := run(inertFaults, inertRel)
-
-	if zeroT != offT {
-		t.Fatalf("duration diverged: zero config %v vs inert config %v", zeroT, offT)
-	}
-	for i := range zeroS {
-		if zeroS[i] != offS[i] {
-			t.Fatalf("node %d stats diverged:\nzero:  %+v\ninert: %+v", i, zeroS[i], offS[i])
-		}
-		ns := zeroS[i]
-		if ns.PeersDeclaredPartitioned+ns.PeersHealed+ns.SessionResets+ns.StaleSessionDrops != 0 {
-			t.Fatalf("node %d: partition-free run moved a partition counter: %+v", i, ns)
-		}
-	}
-	for r := range zeroOut {
-		for i := range zeroOut[r] {
-			if zeroOut[r][i] != offOut[r][i] {
-				t.Fatalf("rank %d elem %d diverged: %v vs %v", r, i, zeroOut[r][i], offOut[r][i])
-			}
-		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/backends"
 	"repro/internal/config"
-	"repro/internal/nic"
 	"repro/internal/node"
 	"repro/internal/sim"
 )
@@ -134,53 +133,6 @@ func TestChaosHangDiagnosisNamesStarvedEntry(t *testing.T) {
 	for _, bad := range []string{"deadlock?"} {
 		if strings.Contains(err.Error(), bad) {
 			t.Fatalf("diagnosis still contains %q: %v", bad, err)
-		}
-	}
-}
-
-// A zero-valued ResourceConfig must leave the data path bit-for-bit
-// identical to never-binding caps: every bound is pay-for-use, and the
-// high-water accounting is pure observation.
-func TestChaosResourceConfigZeroIsBitForBit(t *testing.T) {
-	run := func(res config.ResourceConfig) (sim.Time, []nic.Stats, [][]float32) {
-		const n, nelems = 4, 256
-		data, _ := makeInputs(n, nelems, 3)
-		cfg := config.Default()
-		cfg.Faults = chaosFaults(3)
-		cfg.NIC.Reliability = config.DefaultReliability()
-		cfg.NIC.Resources = res
-		c := node.NewCluster(cfg, n)
-		out, err := Run(c, Config{Kind: backends.GPUTN, TotalBytes: nelems * elemBytes, Data: data})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var stats []nic.Stats
-		for _, nd := range c.Nodes {
-			stats = append(stats, nd.NIC.Stats())
-		}
-		return out.Duration, stats, out.Output
-	}
-
-	zeroT, zeroS, zeroOut := run(config.ResourceConfig{})
-	// Caps far above the working set: every bound present, none ever binds.
-	wideT, wideS, wideOut := run(config.ResourceConfig{
-		TriggerEntries: 1 << 10, PlaceholderEntries: 1 << 10,
-		CmdQueueDepth: 1 << 20, EQDepth: 1 << 20,
-	})
-
-	if zeroT != wideT {
-		t.Fatalf("duration diverged: zero-config %v vs wide caps %v", zeroT, wideT)
-	}
-	for i := range zeroS {
-		if zeroS[i] != wideS[i] {
-			t.Fatalf("node %d stats diverged:\nzero: %+v\nwide: %+v", i, zeroS[i], wideS[i])
-		}
-	}
-	for r := range zeroOut {
-		for i := range zeroOut[r] {
-			if zeroOut[r][i] != wideOut[r][i] {
-				t.Fatalf("rank %d elem %d diverged: %v vs %v", r, i, zeroOut[r][i], wideOut[r][i])
-			}
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/backends"
 	"repro/internal/config"
 	"repro/internal/nic"
-	"repro/internal/node"
 	"repro/internal/sim"
 )
 
@@ -204,43 +203,5 @@ func TestScenarioShardCountInvariant(t *testing.T) {
 	}
 	if !reflect.DeepEqual(o1, o4) {
 		t.Fatal("shards=4 outputs diverged from shards=1")
-	}
-}
-
-// A ScenarioConfig with a seed but no events must be bit-for-bit
-// indistinguishable from the zero config: the scenario compiles to nil,
-// draws nothing, and not a single event in the trace shifts.
-func TestScenarioZeroIsBitForBit(t *testing.T) {
-	run := func(sc config.ScenarioConfig) (sim.Time, []nic.Stats, [][]float32) {
-		const n, nelems = 4, 256
-		data, _ := makeInputs(n, nelems, 3)
-		cfg := config.Default()
-		cfg.Faults = chaosFaults(3)
-		cfg.NIC.Reliability = config.DefaultReliability()
-		cfg.Scenario = sc
-		c := node.NewCluster(cfg, n)
-		if c.Scenario != nil {
-			t.Fatalf("eventless scenario compiled to %+v", c.Scenario)
-		}
-		out, err := Run(c, Config{Kind: backends.GPUTN, TotalBytes: nelems * elemBytes, Data: data})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var stats []nic.Stats
-		for _, nd := range c.Nodes {
-			stats = append(stats, nd.NIC.Stats())
-		}
-		return out.Duration, stats, out.Output
-	}
-	zeroT, zeroS, zeroOut := run(config.ScenarioConfig{})
-	offT, offS, offOut := run(config.ScenarioConfig{Seed: 99})
-	if zeroT != offT {
-		t.Fatalf("duration diverged: zero %v vs seeded-empty %v", zeroT, offT)
-	}
-	if !reflect.DeepEqual(zeroS, offS) {
-		t.Fatalf("stats diverged:\nzero:   %+v\nseeded: %+v", zeroS, offS)
-	}
-	if !reflect.DeepEqual(zeroOut, offOut) {
-		t.Fatal("outputs diverged between zero and seeded-empty scenario")
 	}
 }

@@ -207,53 +207,3 @@ func TestQuarantineIsPermanent(t *testing.T) {
 		}
 	}
 }
-
-// The SDC machinery must be pure pay-for-use: a zero-valued SDCConfig (and
-// a seeded-but-unarmed one) replays the seed trace bit-for-bit — same
-// duration, same full per-node NIC stats, same outputs — and no integrity
-// counter moves.
-func TestSDCConfigZeroIsBitForBit(t *testing.T) {
-	run := func(sdc config.SDCConfig) (sim.Time, []nic.Stats, [][]float32) {
-		const n, nelems = 4, 256
-		data, _ := makeInputs(n, nelems, 3)
-		cfg := config.Default()
-		cfg.Faults = chaosFaults(3)
-		cfg.Faults.SDC = sdc
-		cfg.NIC.Reliability = config.DefaultReliability()
-		c := node.NewCluster(cfg, n)
-		out, err := Run(c, Config{Kind: backends.GPUTN, TotalBytes: nelems * elemBytes, Data: data})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var stats []nic.Stats
-		for _, nd := range c.Nodes {
-			stats = append(stats, nd.NIC.Stats())
-		}
-		return out.Duration, stats, out.Output
-	}
-
-	zeroT, zeroS, zeroOut := run(config.SDCConfig{})
-	// Seed populated, no class armed: must be indistinguishable from zero
-	// (the plan compiles to nil and owns no RNG, so nothing shifts).
-	offT, offS, offOut := run(config.SDCConfig{Seed: 99})
-
-	if zeroT != offT {
-		t.Fatalf("duration diverged: zero config %v vs unarmed config %v", zeroT, offT)
-	}
-	for i := range zeroS {
-		if zeroS[i] != offS[i] {
-			t.Fatalf("node %d stats diverged:\nzero:    %+v\nunarmed: %+v", i, zeroS[i], offS[i])
-		}
-		ns := zeroS[i]
-		if ns.E2EChecksumFails+ns.SDCDetected+ns.SDCUndetected+ns.PeersDeclaredCorrupt != 0 {
-			t.Fatalf("node %d: SDC-free run moved an integrity counter: %+v", i, ns)
-		}
-	}
-	for r := range zeroOut {
-		for i := range zeroOut[r] {
-			if zeroOut[r][i] != offOut[r][i] {
-				t.Fatalf("rank %d elem %d diverged: %v vs %v", r, i, zeroOut[r][i], offOut[r][i])
-			}
-		}
-	}
-}

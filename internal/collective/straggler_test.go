@@ -7,7 +7,6 @@ import (
 	"repro/internal/backends"
 	"repro/internal/config"
 	"repro/internal/health"
-	"repro/internal/nic"
 	"repro/internal/node"
 	"repro/internal/sim"
 )
@@ -94,54 +93,6 @@ func runHedgedStraggler(t *testing.T, kind backends.Kind, slow config.SlowConfig
 
 // expectExactOverAlive lives in chaostest_test.go, shared with the
 // scenario suite.
-
-// A SlowConfig with a seed but no armed window must be bit-for-bit
-// indistinguishable from the zero config — the plan compiles to nil and
-// owns no RNG, so nothing in the trace shifts — and a slow-free run must
-// leave every fail-slow counter untouched.
-func TestSlowConfigZeroIsBitForBit(t *testing.T) {
-	run := func(slow config.SlowConfig) (sim.Time, []nic.Stats, [][]float32) {
-		const n, nelems = 4, 256
-		data, _ := makeInputs(n, nelems, 3)
-		cfg := config.Default()
-		cfg.Faults = chaosFaults(3)
-		cfg.Faults.Slow = slow
-		cfg.NIC.Reliability = config.DefaultReliability()
-		c := node.NewCluster(cfg, n)
-		out, err := Run(c, Config{Kind: backends.GPUTN, TotalBytes: nelems * elemBytes, Data: data})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var stats []nic.Stats
-		for _, nd := range c.Nodes {
-			stats = append(stats, nd.NIC.Stats())
-		}
-		return out.Duration, stats, out.Output
-	}
-
-	zeroT, zeroS, zeroOut := run(config.SlowConfig{})
-	offT, offS, offOut := run(config.SlowConfig{Seed: 99})
-
-	if zeroT != offT {
-		t.Fatalf("duration diverged: zero config %v vs unarmed config %v", zeroT, offT)
-	}
-	for i := range zeroS {
-		if zeroS[i] != offS[i] {
-			t.Fatalf("node %d stats diverged:\nzero:    %+v\nunarmed: %+v", i, zeroS[i], offS[i])
-		}
-		ns := zeroS[i]
-		if ns.SlowCmdStretched+ns.SlowCmdStalls+ns.SlowDMAStretched+ns.PeersDeclaredSlow+ns.SlowRecoveries+ns.HedgedSends+ns.MaxSlowdownSeen != 0 {
-			t.Fatalf("node %d: slow-free run moved a fail-slow counter: %+v", i, ns)
-		}
-	}
-	for r := range zeroOut {
-		for i := range zeroOut[r] {
-			if zeroOut[r][i] != offOut[r][i] {
-				t.Fatalf("rank %d elem %d diverged: %v vs %v", r, i, zeroOut[r][i], offOut[r][i])
-			}
-		}
-	}
-}
 
 // A fault-free hedged run with slow detection armed must complete over the
 // full membership in one attempt with zero Slow verdicts and zero lag

@@ -18,7 +18,6 @@ import (
 	"repro/internal/backends"
 	"repro/internal/config"
 	"repro/internal/network"
-	"repro/internal/nic"
 	"repro/internal/node"
 	"repro/internal/sim"
 )
@@ -114,41 +113,6 @@ func TestFatTreeOnlyPathKillDiagnosesUnrouteable(t *testing.T) {
 				t.Fatal("fabric counted no unrouteable messages")
 			}
 		})
-	}
-}
-
-// TestFatTreeTopologyConfigZeroBitForBit: a populated TopologyConfig (and
-// nothing else) on a star cluster is inert — the trace is bit-for-bit the
-// seed trace, because only the fat-tree fabric ever reads it.
-func TestFatTreeTopologyConfigZeroBitForBit(t *testing.T) {
-	run := func(topo config.TopologyConfig) (sim.Time, []nic.Stats, [][]float32) {
-		const n, nelems = 4, 256
-		data, _ := makeInputs(n, nelems, 3)
-		cfg := config.Default()
-		cfg.Faults = chaosFaults(3)
-		cfg.NIC.Reliability = config.DefaultReliability()
-		cfg.Network.FatTree = topo
-		c := node.NewCluster(cfg, n)
-		out, err := Run(c, Config{Kind: backends.GPUTN, TotalBytes: nelems * elemBytes, Data: data})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var stats []nic.Stats
-		for _, nd := range c.Nodes {
-			stats = append(stats, nd.NIC.Stats())
-		}
-		return out.Duration, stats, out.Output
-	}
-	zT, zS, zO := run(config.TopologyConfig{})
-	pT, pS, pO := run(config.TopologyConfig{LeafSize: 2, PodLeaves: 4, Spines: 8, Cores: 3, QueueCredits: 2, ECNThreshold: 1})
-	if zT != pT {
-		t.Fatalf("duration diverged: zero %v vs populated %v", zT, pT)
-	}
-	if !reflect.DeepEqual(zS, pS) {
-		t.Fatalf("NIC stats diverged:\n%+v\n%+v", zS, pS)
-	}
-	if !reflect.DeepEqual(zO, pO) {
-		t.Fatal("outputs diverged")
 	}
 }
 
