@@ -8,11 +8,12 @@ STATICCHECK_VERSION ?= 2024.1.1
 # Per-target budget for the fuzz smoke run.
 FUZZ_TIME ?= 15s
 
-## check: the full gate — vet, build, and the whole suite under the race
-## detector (includes the crash-recovery smoke tests alongside everything else),
-## then vet and test the benchmark/ module, which has its own go.mod and so
-## is outside ./... of the root module.
+## check: the full gate — gofmt, vet, build, and the whole suite under the
+## race detector (includes the crash-recovery smoke tests alongside everything
+## else), then vet and test the benchmark/ module, which has its own go.mod
+## and so is outside ./... of the root module. Needs no network.
 check:
+	@files=$$(gofmt -l .); test -z "$$files" || { echo "gofmt needed:"; echo "$$files"; exit 1; }
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
@@ -92,13 +93,14 @@ bench:
 bench-smoke:
 	$(GO) run ./cmd/gputn-bench -exp perf -perf-preset smoke -bench-baseline BENCH_sim.json -bench-out BENCH_sim.json
 
-## bench-shards: the parallel-engine smoke — runs fig10 on the serial
-## engine and at -shards 1 and -shards 4, failing if the sharded engine's
-## simulated output diverges from the serial engine's (shard-count
-## invariance is the engine's correctness contract; DESIGN.md §15), then
-## runs the shard determinism matrix under the race detector. The binary
-## and outputs live in a private temporary directory, removed on exit, so
-## concurrent runs cannot clobber each other.
+## bench-shards: the parallel-engine smoke — runs fig10 at the default
+## layout and at -shards 1 and -shards 4, and the packet-loss sweep (faults)
+## at the default and at -shards 4, failing if any split run's simulated
+## output diverges from the default's (shard-count invariance is the
+## engine's correctness contract; DESIGN.md §15), then runs the shard
+## determinism matrix under the race detector. The binary and outputs live
+## in a private temporary directory, removed on exit, so concurrent runs
+## cannot clobber each other.
 bench-shards:
 	set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/gputn-bench" ./cmd/gputn-bench; \
@@ -106,7 +108,10 @@ bench-shards:
 	"$$dir/gputn-bench" -exp fig10 -shards 1 | grep -v '^engine: sharded' > "$$dir/fig10-s1.txt"; \
 	"$$dir/gputn-bench" -exp fig10 -shards 4 | grep -v '^engine: sharded' > "$$dir/fig10-s4.txt"; \
 	diff "$$dir/fig10-serial.txt" "$$dir/fig10-s1.txt"; \
-	diff "$$dir/fig10-serial.txt" "$$dir/fig10-s4.txt"
+	diff "$$dir/fig10-serial.txt" "$$dir/fig10-s4.txt"; \
+	"$$dir/gputn-bench" -exp faults > "$$dir/faults-default.txt"; \
+	"$$dir/gputn-bench" -exp faults -shards 4 | grep -v '^engine: sharded' > "$$dir/faults-s4.txt"; \
+	diff "$$dir/faults-default.txt" "$$dir/faults-s4.txt"
 	GOMAXPROCS=4 $(GO) test -race -run 'TestShard' -count=1 ./internal/sim/ ./internal/collective/
 
 ## fuzz-smoke: every committed Fuzz* target under the actual fuzzer for

@@ -179,7 +179,7 @@ func parseFlags(args []string) (config.SystemConfig, options, error) {
 	fs.BoolVar(&opts.list, "list", false, "list all experiments with one-line descriptions and exit")
 	fs.StringVar(&opts.out, "out", "", "also write figure data as CSV and the timelines as Chrome traces into this directory")
 	fs.IntVar(&opts.parallel, "parallel", runtime.NumCPU(), "worker threads for sweep replicas (1 = serial)")
-	fs.IntVar(&cfg.Shards, "shards", 0, "intra-run node shards for the parallel event engine (0 = serial seed-exact engine; N>=1 = conservative bounded-window engine, results shard-count invariant)")
+	fs.IntVar(&cfg.Shards, "shards", 0, "intra-run node shards for the parallel event engine (0 or 1 = one engine; N>=2 = conservative bounded-window engine over N engines; results shard-count invariant)")
 
 	fs.StringVar(&opts.perfPreset, "perf-preset", "full", "perf harness preset: full|smoke")
 	fs.StringVar(&opts.benchOut, "bench-out", "BENCH_sim.json", "write the perf report JSON here (empty = don't write)")
@@ -452,7 +452,7 @@ func printHeader(cfg config.SystemConfig) {
 	if cfg.Shards > 0 {
 		fmt.Printf("engine: sharded (shards=%d, conservative bounded-window sync)\n", cfg.Shards)
 	}
-	fmt.Println(fault.NewInjector(cfg.Faults).Summary())
+	fmt.Println(fault.NewInjector(cfg.Faults, 0).Summary())
 	fmt.Println(fault.NewCrashPlan(cfg.Crash).Summary())
 	if cfg.Network.Topology == config.TopologyFatTree {
 		ft := cfg.Network.FatTree.WithDefaults()

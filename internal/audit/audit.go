@@ -32,7 +32,7 @@
 // engine (the same ownership discipline the fabric uses), the sparse
 // conservation ledger splits cell ownership between src and dst nodes,
 // and the cross-node checks run in Finish after the run drains — so the
-// auditor adds no synchronization to laned runs and never perturbs event
+// auditor adds no synchronization to split runs and never perturbs event
 // order.
 package audit
 

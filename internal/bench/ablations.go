@@ -25,7 +25,7 @@ import (
 func AblationRelaxedSync(cfg config.SystemConfig, postDelay sim.Time) (relaxed, strict sim.Time) {
 	// Micro-rig: drives both nodes' components from ambient driver
 	// procs and waits directly on the remote counting event — remote-state
-	// coupling outside the fabric, so it measures on the serial engine
+	// coupling outside the fabric, so it measures on one engine
 	// regardless of -shards (output stays shard-count invariant).
 	cfg.Shards = 0
 	run := func(overlap bool) sim.Time {
@@ -79,7 +79,7 @@ func AblationRelaxedSync(cfg config.SystemConfig, postDelay sim.Time) (relaxed, 
 func AblationGranularity(cfg config.SystemConfig, workGroups, wgSize int) map[core.Granularity]sim.Time {
 	// Micro-rig: drives both nodes' components from ambient driver
 	// procs and waits directly on the remote counting event — remote-state
-	// coupling outside the fabric, so it measures on the serial engine
+	// coupling outside the fabric, so it measures on one engine
 	// regardless of -shards (output stays shard-count invariant).
 	cfg.Shards = 0
 	cfg.NIC.MaxTriggerEntries = workGroups*wgSize + 4
@@ -138,7 +138,7 @@ func AblationGranularity(cfg config.SystemConfig, workGroups, wgSize int) map[co
 func AblationTriggerLookup(cfg config.SystemConfig, writes int) map[string]sim.Time {
 	// Micro-rig: drives both nodes' components from ambient driver
 	// procs and waits directly on the remote counting event — remote-state
-	// coupling outside the fabric, so it measures on the serial engine
+	// coupling outside the fabric, so it measures on one engine
 	// regardless of -shards (output stays shard-count invariant).
 	cfg.Shards = 0
 	models := []nic.LookupModel{
@@ -267,7 +267,7 @@ func AblationPipelining(cfg config.SystemConfig, nodeCounts []int) map[int][2]si
 func AblationDynamicTrigger(cfg config.SystemConfig) [4]sim.Time {
 	// Micro-rig: drives both nodes' components from ambient driver
 	// procs and waits directly on the remote counting event — remote-state
-	// coupling outside the fabric, so it measures on the serial engine
+	// coupling outside the fabric, so it measures on one engine
 	// regardless of -shards (output stays shard-count invariant).
 	cfg.Shards = 0
 	durs := parallelMap(4, func(fields int) sim.Time {
@@ -339,7 +339,7 @@ func AblationNetworkSensitivity(cfg config.SystemConfig, gbps []float64) map[flo
 func AblationMPIRendezvous(cfg config.SystemConfig, size int64) (eager, rendezvous sim.Time) {
 	// Micro-rig: drives both nodes' components from ambient driver
 	// procs and waits directly on the remote counting event — remote-state
-	// coupling outside the fabric, so it measures on the serial engine
+	// coupling outside the fabric, so it measures on one engine
 	// regardless of -shards (output stays shard-count invariant).
 	cfg.Shards = 0
 	run := func(eagerLimit int64) sim.Time {
@@ -470,8 +470,8 @@ func AblationTopology(cfg config.SystemConfig, nodes, leafSize int) (star, tree 
 func AblationFatTreeIncast(cfg config.SystemConfig, nodes int, size int64) (star, fattree, controlled sim.Time) {
 	// Micro-rig: ambient driver procs wait directly on the sink's counting
 	// event — remote-state coupling outside the fabric, so it measures on
-	// the serial engine regardless of -shards (output stays shard-count
-	// invariant; the fat-tree is serial-only anyway).
+	// one engine regardless of -shards (output stays shard-count
+	// invariant; the fat-tree is single-engine anyway).
 	cfg.Shards = 0
 	run := func(c config.SystemConfig) sim.Time {
 		cl := node.NewCluster(c, nodes)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -73,5 +74,30 @@ func TestRenderFaultToleranceAndLossReport(t *testing.T) {
 		if !strings.Contains(rep, want) {
 			t.Fatalf("loss report missing %q: %s", want, rep)
 		}
+	}
+}
+
+// Every fault verdict is drawn from the deciding node's own stream, so the
+// fault experiments print the same rows at the default engine layout
+// (Shards 0) and split over four engines. The arguments are the perf
+// harness's, plus the gray-link rows at factor 10.
+func TestFaultExperimentsShardCountInvariant(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(config.SystemConfig) any
+	}{
+		{"faults", func(c config.SystemConfig) any { return AblationFaultTolerance(c, []float64{0, 0.02, 0.05}) }},
+		{"sdc", func(c config.SystemConfig) any { return AblationSDC(c, []float64{0.02, 0.10}) }},
+		{"stragglers", func(c config.SystemConfig) any { return AblationStraggler(c, []float64{10}) }},
+		{"degrade-rto", func(c config.SystemConfig) any { return AblationDegradeRTO(c, []float64{10}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := config.Default()
+			want := tc.run(cfg)
+			cfg.Shards = 4
+			if got := tc.run(cfg); !reflect.DeepEqual(got, want) {
+				t.Errorf("shards=4 diverged from shards=0:\n got %+v\nwant %+v", got, want)
+			}
+		})
 	}
 }

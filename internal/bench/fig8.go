@@ -115,8 +115,8 @@ func figure8Run(cfg config.SystemConfig, kind backends.Kind) *Fig8Run {
 	// The microbenchmark's instrumentation couples the two nodes outside
 	// the fabric: the driver and the HDN/GDS initiators wait directly on
 	// the target's counting event. Direct remote-state reads can't split
-	// across engines, so this timeline always measures on the serial
-	// engine regardless of -shards (output stays shard-count invariant).
+	// across engines, so this timeline always measures on one engine
+	// regardless of -shards (output stays shard-count invariant).
 	cfg.Shards = 0
 	c := node.NewCluster(cfg, 2)
 	tr := trace.New(c.Eng)

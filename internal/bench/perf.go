@@ -35,10 +35,10 @@ type PerfResult struct {
 	// harness (runtime.MemStats Mallocs delta / events) — a model-stack
 	// figure, not just the engine core.
 	AllocsPerEvent float64 `json:"allocs_per_event"`
-	// Shards is the cfg.Shards the experiment ran under (0 = the serial
-	// seed-exact engine). Baselines only compare like-for-like values.
+	// Shards is the cfg.Shards the experiment ran under (0 and 1 are the
+	// same one-engine layout). Baselines only compare like-for-like values.
 	Shards int `json:"shards,omitempty"`
-	// ShardEvents is the per-shard share of Events for sharded runs
+	// ShardEvents is the per-shard share of Events for runs at Shards ≥ 1
 	// (sim.ShardExecuted deltas) — a load-balance report, not a perf one.
 	ShardEvents []uint64 `json:"shard_events,omitempty"`
 }
@@ -178,7 +178,9 @@ func RunPerf(cfg config.SystemConfig, preset string, runs int) (*PerfReport, err
 			// Experiments are deterministic: every run fires the same
 			// events.
 			r.Events = sim.TotalExecuted() - ev0
-			r.ShardEvents = shardDelta(sh0, sim.ShardExecuted())
+			if ex.shards > 0 {
+				r.ShardEvents = shardDelta(sh0, sim.ShardExecuted())
+			}
 			runtime.ReadMemStats(&after)
 			allocs[i] = after.Mallocs - before.Mallocs
 		}

@@ -56,10 +56,12 @@ var sdcScenarios = []sdcScenario{
 		// data), but the retransmission recomputes its checksum over the
 		// corrupt buffer and sails through the frame layer — only the
 		// verified collective's claim chain catches it, blames node 2,
-		// and quarantines it.
+		// and quarantines it. Each caught corruption is two strikes, so
+		// every seed must inject at least two: at 0.6 node 2's stream
+		// injects 5, 2, 2, 4, 5 over seeds 1-5.
 		name: "buffer",
 		sdc: func(seed int64) config.SDCConfig {
-			return config.SDCConfig{Seed: seed, BufferNode: 2, BufferProb: 0.5}
+			return config.SDCConfig{Seed: seed, BufferNode: 2, BufferProb: 0.6}
 		},
 		badRank:    2,
 		finalAlive: []int{0, 1, 3},

@@ -12,11 +12,10 @@ import (
 
 // The cross-shard determinism matrix: every chaos class the suite knows —
 // clean, mixed faults, healed partition, silent wire corruption, fail-slow
-// straggler — must produce an identical run at -shards 1, 2, and 4. Shards=1
-// is the single-engine lane-assigned reference; any divergence at higher
-// shard counts is a window-synchronization bug, not model noise. (Shards=0,
-// the serial seed-exact path, is deliberately absent: lane-assigned runs use
-// per-node fault streams, a different — equally valid — schedule.)
+// straggler — must produce an identical run at -shards 0, 1, 2, and 4.
+// Shards=0 (the default) and Shards=1 are the same single-engine layout;
+// any divergence at higher shard counts is a window-synchronization bug,
+// not model noise.
 
 // shardOutcome captures everything a run can observably produce.
 type shardOutcome struct {
@@ -82,18 +81,18 @@ func shardMatrixCells() map[string]config.SystemConfig {
 	}
 }
 
-// TestShardMatrixDeterminism runs every chaos cell at shards {1, 2, 4} and
-// requires identical outcomes — durations, per-rank completion times, output
-// vectors, retransmit/drop/loss/corruption counters.
+// TestShardMatrixDeterminism runs every chaos cell at shards {0, 1, 2, 4}
+// and requires identical outcomes — durations, per-rank completion times,
+// output vectors, retransmit/drop/loss/corruption counters.
 func TestShardMatrixDeterminism(t *testing.T) {
 	const n, nelems = 4, 256
 	for name, cfg := range shardMatrixCells() {
 		t.Run(name, func(t *testing.T) {
-			ref := runShardCell(t, cfg, 1, n, nelems, backends.GPUTN, 7)
-			for _, shards := range []int{2, 4} {
+			ref := runShardCell(t, cfg, 0, n, nelems, backends.GPUTN, 7)
+			for _, shards := range []int{1, 2, 4} {
 				got := runShardCell(t, cfg, shards, n, nelems, backends.GPUTN, 7)
 				if !reflect.DeepEqual(got, ref) {
-					t.Errorf("shards=%d diverged from shards=1:\n got %+v\nwant %+v", shards, got, ref)
+					t.Errorf("shards=%d diverged from shards=0:\n got %+v\nwant %+v", shards, got, ref)
 				}
 			}
 		})

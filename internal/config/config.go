@@ -909,14 +909,13 @@ type SystemConfig struct {
 	// (fault.Scenario.Apply), so each sub-plan keeps its private RNG
 	// stream.
 	Scenario ScenarioConfig
-	// Shards selects the simulation engine layout. 0 (the default) is the
-	// serial seed-exact path: one engine, no event lanes, bit-identical to
-	// the pre-sharding simulator. N ≥ 1 assigns every node an event lane and
-	// round-robins nodes over N engines synchronized by bounded-window
-	// lookahead; Shards=1 is the single-engine laned reference that any
-	// Shards=N run reproduces exactly. Features that need one global event
-	// order (health membership, crash schedules, hedging, tracing, fat-tree
-	// topology) force the effective engine count to 1 regardless.
+	// Shards selects how many engines a run's nodes are split over. Every
+	// node runs on its own event lane; 0 (the default) and 1 both mean one
+	// engine, and N ≥ 2 round-robins nodes over N engines synchronized by
+	// bounded-window lookahead. Every value prints the same results: only
+	// wall time changes. Features that need one global event order (health
+	// membership, crash schedules, fat-tree topology) force the effective
+	// engine count to 1 regardless.
 	Shards int
 }
 

@@ -1,10 +1,10 @@
 // Package fault is the deterministic fault-injection subsystem: a single
 // seeded Injector threaded through the fabric and the NICs that decides,
 // per packet / trigger write / command, whether to drop, corrupt, delay,
-// or stall. Because all model code runs hand-off scheduled on the
-// simulation engine, the injector's RNG is consumed in a deterministic
-// order: the same seed and configuration always reproduce the same fault
-// schedule and therefore the same event trace.
+// or stall. Each node draws from its own seeded stream, and a node's
+// events run in a deterministic order on its engine lane, so the same
+// seed and configuration always reproduce the same fault schedule and
+// therefore the same event trace, at any engine count.
 //
 // The zero-valued config disables every fault, and a nil *Injector is a
 // valid no-op receiver, so the hot paths stay byte-identical to the
@@ -13,7 +13,6 @@ package fault
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/config"
 	"repro/internal/sim"
@@ -50,70 +49,17 @@ type Stats struct {
 
 // Injector makes all fault decisions for one cluster. Its methods are
 // nil-safe: a nil receiver returns the zero (fault-free) verdict, so model
-// code calls them unconditionally.
-//
-// By default all decisions draw from one shared RNG stream — the seed
-// behavior every tuned chaos schedule depends on. Shard switches to
-// per-node streams and counters so decisions attributed to different nodes
-// never touch shared state; a sharded cluster requires it (each verdict is
-// drawn on the deciding node's engine).
+// code calls them unconditionally. Every random verdict draws from the
+// deciding node's own stream (see nodeStreams).
 type Injector struct {
-	cfg   config.FaultConfig
-	rng   *rand.Rand
-	plan  *PartitionPlan
-	sdc   *SDCPlan
-	slow  *SlowPlan
-	stats Stats
-
-	// sharded mode (nil/empty when off)
-	nodeRngs  []*rand.Rand
-	nodeStats []Stats
+	cfg  config.FaultConfig
+	plan *PartitionPlan
+	sdc  *SDCPlan
+	slow *SlowPlan
+	nodeStreams[Stats]
 }
 
-// shardSeed derives node i's private stream seed from a base seed. Any
-// deterministic injective-ish mix works; what matters is that every node
-// gets an independent stream fixed by (base, i) alone.
-func shardSeed(base int64, i int) int64 {
-	return base*1000003 + int64(i)*7919 + 1
-}
-
-// Shard switches the injector (and its SDC and fail-slow plans) to
-// per-node fault streams and counters for a cluster of n nodes. Verdicts
-// become a deterministic function of (seed, node, local history) instead of
-// (seed, global draw order) — which is exactly what makes them invariant
-// under shard partitioning, at the cost of a different (equally valid)
-// fault schedule than the shared-stream mode. Aggregate accessors are
-// unaffected. Must be called before any draw.
-func (in *Injector) Shard(n int) {
-	if in == nil {
-		return
-	}
-	in.nodeRngs = make([]*rand.Rand, n)
-	for i := range in.nodeRngs {
-		in.nodeRngs[i] = rand.New(rand.NewSource(shardSeed(in.cfg.Seed, i)))
-	}
-	in.nodeStats = make([]Stats, n)
-	in.sdc.Shard(n)
-	in.slow.Shard(n)
-}
-
-// r returns the RNG for a decision attributed to node.
-func (in *Injector) r(node int) *rand.Rand {
-	if in.nodeRngs != nil {
-		return in.nodeRngs[node]
-	}
-	return in.rng
-}
-
-// st returns the counter block for a decision attributed to node.
-func (in *Injector) st(node int) *Stats {
-	if in.nodeStats != nil {
-		return &in.nodeStats[node]
-	}
-	return &in.stats
-}
-
-func (a *Stats) add(b Stats) {
+func (a Stats) plus(b Stats) Stats {
 	a.PacketsDropped += b.PacketsDropped
 	a.FlapDrops += b.FlapDrops
 	a.PartitionDrops += b.PartitionDrops
@@ -124,21 +70,22 @@ func (a *Stats) add(b Stats) {
 	a.TriggerDrops += b.TriggerDrops
 	a.TriggerDelays += b.TriggerDelays
 	a.CommandStalls += b.CommandStalls
+	return a
 }
 
-// NewInjector builds an injector for an enabled fault configuration. It
-// returns nil when the configuration injects nothing, which keeps the
-// fault-free hot paths allocation- and event-free.
-func NewInjector(cfg config.FaultConfig) *Injector {
+// NewInjector builds an injector for an enabled fault configuration over
+// an n-node cluster. It returns nil when the configuration injects nothing,
+// which keeps the fault-free hot paths allocation- and event-free.
+func NewInjector(cfg config.FaultConfig, n int) *Injector {
 	if !cfg.Enabled() {
 		return nil
 	}
 	return &Injector{
-		cfg:  cfg,
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
-		plan: NewPartitionPlan(cfg.Partition),
-		sdc:  NewSDCPlan(cfg.SDC),
-		slow: NewSlowPlan(cfg.Slow),
+		cfg:         cfg,
+		plan:        NewPartitionPlan(cfg.Partition),
+		sdc:         NewSDCPlan(cfg.SDC, n),
+		slow:        NewSlowPlan(cfg.Slow, n),
+		nodeStreams: newNodeStreams[Stats](cfg.Seed, n),
 	}
 }
 
@@ -169,18 +116,13 @@ func (in *Injector) Slow() *SlowPlan {
 	return in.slow
 }
 
-// Stats returns a snapshot of the injected-fault counters, aggregated
-// across per-node blocks in sharded mode. Read between runs, not from
-// concurrent model code.
+// Stats returns a snapshot of the injected-fault counters summed over
+// every node. Read between runs, not from concurrent model code.
 func (in *Injector) Stats() Stats {
 	if in == nil {
 		return Stats{}
 	}
-	out := in.stats
-	for i := range in.nodeStats {
-		out.add(in.nodeStats[i])
-	}
-	return out
+	return in.total()
 }
 
 // Config returns the injector's configuration (zero for nil).
@@ -201,7 +143,7 @@ func (in *Injector) Packet(now sim.Time, src, dst int) PacketFate {
 		return PacketFate{}
 	}
 	// Packet verdicts are drawn at the source's egress, so they attribute
-	// to src in sharded mode.
+	// to src.
 	c, rng, st := &in.cfg, in.r(src), in.st(src)
 	if c.FlapEnd > c.FlapStart && now >= c.FlapStart && now < c.FlapEnd &&
 		(src == c.FlapNode || dst == c.FlapNode) {

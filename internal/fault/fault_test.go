@@ -35,14 +35,14 @@ func TestNilInjectorIsNoOp(t *testing.T) {
 }
 
 func TestNewInjectorDisabledReturnsNil(t *testing.T) {
-	if NewInjector(config.FaultConfig{}) != nil {
+	if NewInjector(config.FaultConfig{}, 4) != nil {
 		t.Fatal("zero config should build a nil injector")
 	}
 	// Seed alone arms nothing.
-	if NewInjector(config.FaultConfig{Seed: 99}) != nil {
+	if NewInjector(config.FaultConfig{Seed: 99}, 4) != nil {
 		t.Fatal("seed-only config should build a nil injector")
 	}
-	if NewInjector(config.FaultConfig{DropProb: 0.1}) == nil {
+	if NewInjector(config.FaultConfig{DropProb: 0.1}, 4) == nil {
 		t.Fatal("armed config should build an injector")
 	}
 }
@@ -54,7 +54,7 @@ func TestSameSeedSameSchedule(t *testing.T) {
 		Seed: 7, DropProb: 0.2, CorruptProb: 0.1, DelayJitter: 100 * sim.Nanosecond,
 	}
 	run := func() []PacketFate {
-		in := NewInjector(cfg)
+		in := NewInjector(cfg, 4)
 		var out []PacketFate
 		for i := 0; i < 500; i++ {
 			out = append(out, in.Packet(sim.Time(i), i%4, (i+1)%4))
@@ -69,7 +69,7 @@ func TestSameSeedSameSchedule(t *testing.T) {
 	}
 	// A different seed must (with overwhelming probability) differ somewhere.
 	cfg.Seed = 8
-	c := NewInjector(cfg)
+	c := NewInjector(cfg, 4)
 	diff := false
 	for i := 0; i < 500; i++ {
 		if c.Packet(sim.Time(i), i%4, (i+1)%4) != a[i] {
@@ -87,7 +87,7 @@ func TestFlapWindowDropsDeterministically(t *testing.T) {
 		FlapNode:  2,
 		FlapStart: 10 * sim.Microsecond,
 		FlapEnd:   20 * sim.Microsecond,
-	})
+	}, 4)
 	// Inside the window, any packet touching node 2 is dropped; others pass.
 	if f := in.Packet(15*sim.Microsecond, 2, 0); !f.Drop {
 		t.Fatal("flap src not dropped")
@@ -115,7 +115,7 @@ func TestTriggerAndCommandFaults(t *testing.T) {
 	in := NewInjector(config.FaultConfig{
 		TrigDropProb: 1.0,
 		CmdStallProb: 1.0, CmdStallTime: 3 * sim.Microsecond,
-	})
+	}, 4)
 	if drop, _ := in.TriggerFault(0); !drop {
 		t.Fatal("certain trigger drop did not drop")
 	}
@@ -134,7 +134,7 @@ func TestSummaryMentionsArmedFaults(t *testing.T) {
 		FlapNode: 1, FlapStart: 1, FlapEnd: 2,
 		CmdStallProb: 0.5, CmdStallTime: 1,
 		TrigDropProb: 0.1,
-	})
+	}, 4)
 	s := in.Summary()
 	for _, want := range []string{"seed=42", "drop=5.00%", "flap[node 1", "cmd-stall", "trig["} {
 		if !strings.Contains(s, want) {

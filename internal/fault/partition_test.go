@@ -104,7 +104,7 @@ func TestInjectorPartitionDropsWithoutRNGDraws(t *testing.T) {
 	base := config.FaultConfig{Seed: 11, DropProb: 0.3}
 	cut := base
 	cut.Partition = cutAt([]int{1}, 10*sim.Microsecond, 10*sim.Microsecond)
-	plain, parted := NewInjector(base), NewInjector(cut)
+	plain, parted := NewInjector(base, 4), NewInjector(cut, 4)
 	// Packets that never touch the cut must get identical verdicts whether
 	// or not the partition schedule is armed.
 	for i := 0; i < 200; i++ {
@@ -130,7 +130,7 @@ func TestDegradeWindowInflatesLatencyInsideWindow(t *testing.T) {
 	in := NewInjector(config.FaultConfig{Degrade: config.DegradeConfig{Windows: []config.DegradeWindow{
 		{Src: 2, Dst: -1, From: 10 * sim.Microsecond, Until: 20 * sim.Microsecond, LatencyFactor: 10},
 		{Src: -1, Dst: -1, From: 10 * sim.Microsecond, Until: 20 * sim.Microsecond, LatencyFactor: 3},
-	}}})
+	}}}, 4)
 	if f := in.Packet(15*sim.Microsecond, 2, 0); f.DelayFactor != 10 {
 		t.Fatalf("DelayFactor = %v, want the worst matching window (10)", f.DelayFactor)
 	}
@@ -149,7 +149,7 @@ func TestDegradeWindowInflatesLatencyInsideWindow(t *testing.T) {
 func TestDegradeWindowLossIsScoped(t *testing.T) {
 	in := NewInjector(config.FaultConfig{Seed: 5, Degrade: config.DegradeConfig{Windows: []config.DegradeWindow{
 		{Src: -1, Dst: 1, From: 0, Until: 10 * sim.Microsecond, LossProb: 1},
-	}}})
+	}}}, 4)
 	if f := in.Packet(5*sim.Microsecond, 0, 1); !f.Drop {
 		t.Fatal("certain in-window loss did not drop")
 	}
@@ -193,7 +193,7 @@ func TestSummaryMentionsPartitionAndDegrade(t *testing.T) {
 		Degrade: config.DegradeConfig{Windows: []config.DegradeWindow{
 			{Src: 2, Dst: -1, Until: sim.Microsecond, LatencyFactor: 10, LossProb: 0.1},
 		}},
-	})
+	}, 4)
 	s := in.Summary()
 	for _, want := range []string{"partition", "degrade"} {
 		if !strings.Contains(s, want) {

@@ -9,8 +9,8 @@
 // Compilation is a pure config-to-config expansion: each sub-plan still
 // draws from its own private RNG stream, so composing a scenario never
 // perturbs the injector, SDC, or slow-plan streams, a zero-valued
-// ScenarioConfig leaves the config bit-for-bit untouched, and laned runs
-// stay shard-count invariant for free (the expanded schedules are the
+// ScenarioConfig leaves the config bit-for-bit untouched, and runs stay
+// shard-count invariant for free (the expanded schedules are the
 // same deterministic inputs the plans already handle).
 package fault
 

@@ -3,16 +3,15 @@
 // (payload bits flip, the link Corrupt flag stays clear), buffer
 // corruption at rest (a designated node's send buffer flips bits between
 // compute and DMA), and a faulty reducer (a rank whose reduction combines
-// produce wrong values during a window). The plan owns a private RNG
-// seeded from SDCConfig.Seed, so arming SDC never shifts the main
-// injector's draw stream; the zero-valued config compiles to a nil plan
-// that draws nothing and keeps the trace bit-for-bit (tested).
+// produce wrong values during a window). The plan owns private per-node
+// RNG streams seeded from SDCConfig.Seed, so arming SDC never shifts the
+// main injector's draw streams; the zero-valued config compiles to a nil
+// plan that draws nothing and keeps the trace bit-for-bit (tested).
 package fault
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/config"
 	"repro/internal/sim"
@@ -37,57 +36,24 @@ func (s SDCStats) Total() int64 {
 // valid no-op receiver; NewSDCPlan returns nil for a disabled config so
 // the fault-free paths stay draw-free.
 type SDCPlan struct {
-	cfg     config.SDCConfig
-	rng     *rand.Rand
-	stats   SDCStats
-	firstAt sim.Time
-	hasAny  bool
-
-	// sharded mode (nil/empty when off): per-node streams, counters, and
-	// first-injection watermarks, aggregated on read. See Injector.Shard.
-	nodeRngs  []*rand.Rand
-	nodeStats []SDCStats
-	nodeFirst []sim.Time
-	nodeHas   []bool
+	cfg config.SDCConfig
+	nodeStreams[SDCStats]
 }
 
-// Shard switches the plan to per-node corruption streams for n nodes.
-func (p *SDCPlan) Shard(n int) {
-	if p == nil {
-		return
-	}
-	p.nodeRngs = make([]*rand.Rand, n)
-	for i := range p.nodeRngs {
-		p.nodeRngs[i] = rand.New(rand.NewSource(shardSeed(p.cfg.Seed, i)))
-	}
-	p.nodeStats = make([]SDCStats, n)
-	p.nodeFirst = make([]sim.Time, n)
-	p.nodeHas = make([]bool, n)
+func (a SDCStats) plus(b SDCStats) SDCStats {
+	a.WireCorruptions += b.WireCorruptions
+	a.BufferCorruptions += b.BufferCorruptions
+	a.ReducerCorruptions += b.ReducerCorruptions
+	return a
 }
 
-func (p *SDCPlan) r(node int) *rand.Rand {
-	if p.nodeRngs != nil {
-		return p.nodeRngs[node]
-	}
-	return p.rng
-}
-
-func (p *SDCPlan) st(node int) *SDCStats {
-	if p.nodeStats != nil {
-		return &p.nodeStats[node]
-	}
-	return &p.stats
-}
-
-// NewSDCPlan compiles an SDC schedule; nil when nothing is armed.
-func NewSDCPlan(cfg config.SDCConfig) *SDCPlan {
+// NewSDCPlan compiles an SDC schedule over an n-node cluster; nil when
+// nothing is armed.
+func NewSDCPlan(cfg config.SDCConfig, n int) *SDCPlan {
 	if !cfg.Enabled() {
 		return nil
 	}
-	return &SDCPlan{
-		cfg: cfg,
-		rng: rand.New(rand.NewSource(cfg.Seed)),
-	}
+	return &SDCPlan{cfg: cfg, nodeStreams: newNodeStreams[SDCStats](cfg.Seed, n)}
 }
 
 // Config returns the plan's configuration (zero for nil).
@@ -98,19 +64,13 @@ func (p *SDCPlan) Config() config.SDCConfig {
 	return p.cfg
 }
 
-// Stats returns a snapshot of the injected-corruption counters, aggregated
-// across per-node blocks in sharded mode.
+// Stats returns a snapshot of the injected-corruption counters summed over
+// every node.
 func (p *SDCPlan) Stats() SDCStats {
 	if p == nil {
 		return SDCStats{}
 	}
-	out := p.stats
-	for _, s := range p.nodeStats {
-		out.WireCorruptions += s.WireCorruptions
-		out.BufferCorruptions += s.BufferCorruptions
-		out.ReducerCorruptions += s.ReducerCorruptions
-	}
-	return out
+	return p.total()
 }
 
 // FirstInjectionAt returns the simulated time of the first injected
@@ -121,30 +81,7 @@ func (p *SDCPlan) FirstInjectionAt() (sim.Time, bool) {
 	if p == nil {
 		return 0, false
 	}
-	first, ok := p.firstAt, p.hasAny
-	for i, has := range p.nodeHas {
-		if has && (!ok || p.nodeFirst[i] < first) {
-			first, ok = p.nodeFirst[i], true
-		}
-	}
-	if !ok {
-		return 0, false
-	}
-	return first, true
-}
-
-func (p *SDCPlan) note(now sim.Time, node int) {
-	if p.nodeHas != nil {
-		if !p.nodeHas[node] {
-			p.nodeHas[node] = true
-			p.nodeFirst[node] = now
-		}
-		return
-	}
-	if !p.hasAny {
-		p.hasAny = true
-		p.firstAt = now
-	}
+	return p.firstInjection()
 }
 
 // WirePacket decides whether one delivered packet is silently corrupted on
@@ -154,7 +91,7 @@ func (p *SDCPlan) WirePacket(now sim.Time, src, dst int) bool {
 	if p == nil || p.cfg.WireProb <= 0 {
 		return false
 	}
-	// Drawn at the source's egress — attributes to src in sharded mode.
+	// Drawn at the source's egress — attributes to src.
 	if p.r(src).Float64() >= p.cfg.WireProb {
 		return false
 	}

@@ -7,15 +7,14 @@
 // stretches, plus probabilistic per-command stalls), and DMA slowdown
 // (every transfer, send- and receive-side, stretches). Factor lookups are
 // RNG-free — they are pure window membership tests — and only CmdStallProb
-// draws consume randomness, from the plan's private RNG seeded by
-// SlowConfig.Seed, so arming a straggler never shifts the main injector's
-// stream. The zero-valued config compiles to a nil plan that draws nothing
-// and keeps the trace bit-for-bit (tested).
+// draws consume randomness, from the plan's private per-node streams
+// seeded by SlowConfig.Seed, so arming a straggler never shifts the main
+// injector's streams. The zero-valued config compiles to a nil plan that
+// draws nothing and keeps the trace bit-for-bit (tested).
 package fault
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/config"
 	"repro/internal/sim"
@@ -42,57 +41,25 @@ func (s SlowStats) Total() int64 {
 // receiver; NewSlowPlan returns nil for a disabled config so the
 // straggler-free paths stay draw-free.
 type SlowPlan struct {
-	cfg     config.SlowConfig
-	rng     *rand.Rand
-	stats   SlowStats
-	firstAt sim.Time
-	hasAny  bool
-
-	// sharded mode (nil/empty when off): per-node streams, counters, and
-	// first-injection watermarks, aggregated on read. See Injector.Shard.
-	nodeRngs  []*rand.Rand
-	nodeStats []SlowStats
-	nodeFirst []sim.Time
-	nodeHas   []bool
+	cfg config.SlowConfig
+	nodeStreams[SlowStats]
 }
 
-// Shard switches the plan to per-node slowdown streams for n nodes.
-func (p *SlowPlan) Shard(n int) {
-	if p == nil {
-		return
-	}
-	p.nodeRngs = make([]*rand.Rand, n)
-	for i := range p.nodeRngs {
-		p.nodeRngs[i] = rand.New(rand.NewSource(shardSeed(p.cfg.Seed, i)))
-	}
-	p.nodeStats = make([]SlowStats, n)
-	p.nodeFirst = make([]sim.Time, n)
-	p.nodeHas = make([]bool, n)
+func (a SlowStats) plus(b SlowStats) SlowStats {
+	a.GPUDilations += b.GPUDilations
+	a.CmdStretched += b.CmdStretched
+	a.CmdStalls += b.CmdStalls
+	a.DMAStretched += b.DMAStretched
+	return a
 }
 
-func (p *SlowPlan) r(node int) *rand.Rand {
-	if p.nodeRngs != nil {
-		return p.nodeRngs[node]
-	}
-	return p.rng
-}
-
-func (p *SlowPlan) st(node int) *SlowStats {
-	if p.nodeStats != nil {
-		return &p.nodeStats[node]
-	}
-	return &p.stats
-}
-
-// NewSlowPlan compiles a fail-slow schedule; nil when nothing is armed.
-func NewSlowPlan(cfg config.SlowConfig) *SlowPlan {
+// NewSlowPlan compiles a fail-slow schedule over an n-node cluster; nil
+// when nothing is armed.
+func NewSlowPlan(cfg config.SlowConfig, n int) *SlowPlan {
 	if !cfg.Enabled() {
 		return nil
 	}
-	return &SlowPlan{
-		cfg: cfg,
-		rng: rand.New(rand.NewSource(cfg.Seed)),
-	}
+	return &SlowPlan{cfg: cfg, nodeStreams: newNodeStreams[SlowStats](cfg.Seed, n)}
 }
 
 // Config returns the plan's configuration (zero for nil).
@@ -103,20 +70,13 @@ func (p *SlowPlan) Config() config.SlowConfig {
 	return p.cfg
 }
 
-// Stats returns a snapshot of the injected-slowdown counters, aggregated
-// across per-node blocks in sharded mode.
+// Stats returns a snapshot of the injected-slowdown counters summed over
+// every node.
 func (p *SlowPlan) Stats() SlowStats {
 	if p == nil {
 		return SlowStats{}
 	}
-	out := p.stats
-	for _, s := range p.nodeStats {
-		out.GPUDilations += s.GPUDilations
-		out.CmdStretched += s.CmdStretched
-		out.CmdStalls += s.CmdStalls
-		out.DMAStretched += s.DMAStretched
-	}
-	return out
+	return p.total()
 }
 
 // FirstInjectionAt returns the simulated time of the first injected
@@ -127,34 +87,7 @@ func (p *SlowPlan) FirstInjectionAt() (sim.Time, bool) {
 	if p == nil {
 		return 0, false
 	}
-	first, ok := p.firstAt, p.hasAny
-	for i, has := range p.nodeHas {
-		if has && (!ok || p.nodeFirst[i] < first) {
-			first, ok = p.nodeFirst[i], true
-		}
-	}
-	if !ok {
-		return 0, false
-	}
-	return first, true
-}
-
-// note records an injection at now, keeping the earliest. Calls are not
-// in time order: a GPU dilation is noted at the work-group's logical time,
-// which can run ahead of the engine clock a later NIC or DMA slowdown is
-// noted at (DESIGN.md §10.6).
-func (p *SlowPlan) note(now sim.Time, node int) {
-	if p.nodeHas != nil {
-		if !p.nodeHas[node] || now < p.nodeFirst[node] {
-			p.nodeHas[node] = true
-			p.nodeFirst[node] = now
-		}
-		return
-	}
-	if !p.hasAny || now < p.firstAt {
-		p.hasAny = true
-		p.firstAt = now
-	}
+	return p.firstInjection()
 }
 
 // windows iterates the armed windows covering (node, now).

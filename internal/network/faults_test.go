@@ -17,7 +17,7 @@ func transports(e *sim.Engine, n int, faults config.FaultConfig) map[string]Tran
 	cfg.FatTree.LeafSize = 2
 	m := map[string]Transport{"star": star, "fattree": NewFatTree(e, cfg, n)}
 	for _, tr := range m {
-		tr.SetInjector(fault.NewInjector(faults))
+		tr.SetInjector(fault.NewInjector(faults, n))
 	}
 	return m
 }
@@ -54,7 +54,7 @@ func TestPartialDropLosesWholeMessage(t *testing.T) {
 	// 8-packet message survive and some are dropped.
 	e := sim.NewEngine()
 	f := NewFabric(e, netCfg(), 2)
-	f.SetInjector(fault.NewInjector(config.FaultConfig{Seed: 3, DropProb: 0.3}))
+	f.SetInjector(fault.NewInjector(config.FaultConfig{Seed: 3, DropProb: 0.3}, 2))
 	delivered := 0
 	f.Bind(1, func(m *Message) { delivered++ })
 	e.Go("send", func(p *sim.Proc) {
@@ -102,7 +102,7 @@ func TestInjectorJitterDelaysDelivery(t *testing.T) {
 	arrival := func(faults config.FaultConfig) sim.Time {
 		e := sim.NewEngine()
 		f := NewFabric(e, netCfg(), 2)
-		f.SetInjector(fault.NewInjector(faults))
+		f.SetInjector(fault.NewInjector(faults, 2))
 		var at sim.Time
 		f.Bind(1, func(m *Message) { at = e.Now() })
 		e.Go("send", func(p *sim.Proc) { f.Send(&Message{Src: 0, Dst: 1, Size: 64}) })

@@ -159,8 +159,9 @@ type Fabric struct {
 	cfg config.NetworkConfig
 
 	// engs[i] is the engine owning node i's ports; lanes[i] its event lane.
-	// Default: every node on the construction engine, lane 0 (the serial
-	// seed-exact path). SetSharding installs the partition.
+	// Default: every node on the construction engine, lane 0 (a bare
+	// fabric, as unit rigs build it). SetSharding installs the cluster's
+	// layout.
 	engs  []*sim.Engine
 	lanes []uint32
 	sh    *sim.Sharded

@@ -217,7 +217,7 @@ func TestAuditorCatchesSeededStaleDelivery(t *testing.T) {
 		cfg := config.Default()
 		eng := sim.NewEngine()
 		fab := network.NewFabric(eng, cfg.Network, 2)
-		inj := fault.NewInjector(config.FaultConfig{DebugStaleDeliver: debug})
+		inj := fault.NewInjector(config.FaultConfig{DebugStaleDeliver: debug}, 2)
 		fab.SetInjector(inj)
 		au := audit.New(2)
 		r := &rig{eng: eng, fab: fab}

@@ -155,7 +155,7 @@ func TestDynamicRelaxedSyncPlaceholderKeepsOverrides(t *testing.T) {
 
 // withTriggerFaults arms a fault injector on node 0's MMIO trigger path.
 func withTriggerFaults(r *rig, cfg config.FaultConfig) *fault.Injector {
-	inj := fault.NewInjector(cfg)
+	inj := fault.NewInjector(cfg, len(r.nics))
 	r.nics[0].SetInjector(inj)
 	return inj
 }

@@ -161,7 +161,7 @@ func TestRelaxedSyncRaceWithInjectedTriggerFaultsFuzz(t *testing.T) {
 			Seed:            seed,
 			TrigDropProb:    0.3,
 			TrigDelayJitter: sim.Time(rng.Intn(5000)) * sim.Nanosecond,
-		})
+		}, 2)
 		r.nics[0].SetInjector(inj)
 		recv := sim.NewCounter(r.eng)
 		r.nics[1].ExposeRegion(&Region{MatchBits: 0xF, Counter: recv})

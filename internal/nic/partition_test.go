@@ -20,12 +20,15 @@ func grayLink(seed int64) config.FaultConfig {
 // per loss; the adaptive timer has converged to the real degraded RTT and
 // recovers each loss in round-trip-scale time, so the same transfer under
 // the same loss schedule completes sooner. Both must still deliver every
-// frame exactly once and in order.
+// frame exactly once and in order. The schedule must lose frames sent after
+// the first RTT samples: a frame lost in the first flight was armed before
+// the estimator had any sample, so both timers fire at the same instant
+// (seed 7 loses only such frames; seed 1 loses later ones too).
 func TestAdaptiveRTORecoversFasterOnGrayLink(t *testing.T) {
 	run := func(adaptive bool) (sim.Time, Stats) {
 		rel := relDefaults()
 		rel.AdaptiveRTO = adaptive
-		r := newRelRig(t, 2, rel, grayLink(7))
+		r := newRelRig(t, 2, rel, grayLink(1))
 		recv, order := postPuts(r, 20)
 		r.eng.Run()
 		if recv.Value() != 20 {

@@ -17,7 +17,7 @@ func newRelRig(t testing.TB, n int, rel config.ReliabilityConfig, faults config.
 	cfg.NIC.Reliability = rel
 	eng := sim.NewEngine()
 	fab := network.NewFabric(eng, cfg.Network, n)
-	inj := fault.NewInjector(faults)
+	inj := fault.NewInjector(faults, n)
 	fab.SetInjector(inj)
 	r := &rig{eng: eng, fab: fab}
 	for i := 0; i < n; i++ {

@@ -48,7 +48,7 @@ func newE2ERig(t testing.TB, bufferProb float64, seed int64) *rig {
 	inj := fault.NewInjector(config.FaultConfig{
 		Seed: seed,
 		SDC:  config.SDCConfig{Seed: seed, BufferNode: 0, BufferProb: bufferProb},
-	})
+	}, 2)
 	fab.SetInjector(inj)
 	r := &rig{eng: eng, fab: fab}
 	for i := 0; i < 2; i++ {

@@ -25,9 +25,9 @@ type Node struct {
 	Index int
 	Eng   *sim.Engine
 	Cfg   config.SystemConfig
-	// Lane is the node's event lane in a lane-assigned cluster
-	// (cfg.Shards ≥ 1): Index+1, with 0 reserved as the ambient lane. It is
-	// 0 on the serial seed-exact path (cfg.Shards == 0).
+	// Lane is the node's event lane: Index+1, with 0 reserved as the
+	// ambient lane. Every event the node's processes schedule carries it,
+	// so the node's event order is the same on any engine count.
 	Lane uint32
 
 	CPU *cpu.CPU
@@ -114,14 +114,13 @@ func (nd *Node) Restart() {
 
 // Cluster is a set of nodes on one fabric.
 type Cluster struct {
-	// Eng is the primary engine — the only one on the serial path
-	// (cfg.Shards == 0), shard 0 of a sharded cluster. Ambient (non-node)
-	// work runs here.
+	// Eng is the primary engine — shard 0, and the only engine unless the
+	// cluster is split (cfg.Shards ≥ 2). Ambient (non-node) work runs here.
 	Eng *sim.Engine
 	// Engines holds every engine, indexed by shard; Engines[0] == Eng.
 	Engines []*sim.Engine
-	// Sharded is the bounded-window coordinator driving Engines in
-	// deterministic lockstep; nil when cfg.Shards == 0.
+	// Sharded drives Engines: straight through when there is one, in
+	// deterministic bounded-window lockstep otherwise. Never nil.
 	Sharded *sim.Sharded
 	Cfg     config.SystemConfig
 	Fabric  network.Transport
@@ -167,9 +166,9 @@ func (c *Cluster) NextCollectiveGen() int64 {
 // needs one global event order. Heartbeat membership and crash schedules
 // mutate cross-node state through direct calls, not fabric messages, and
 // the fat-tree's switch ports are shared by every node pair, so none of
-// them can be split across engines. A lane-assigned cluster with such a
-// feature runs on a single engine regardless of cfg.Shards, which keeps
-// every shard count trivially identical.
+// them can be split across engines. A cluster with such a feature runs on
+// a single engine regardless of cfg.Shards, which keeps every shard count
+// trivially identical.
 func serialRequired(cfg *config.SystemConfig) bool {
 	return cfg.Health.Enabled || cfg.Crash.Enabled() ||
 		cfg.Network.Topology == config.TopologyFatTree
@@ -194,47 +193,32 @@ func NewCluster(cfg config.SystemConfig, n int) *Cluster {
 	if serr != nil {
 		panic(fmt.Sprintf("node: %v", serr))
 	}
-	// Engine layout: cfg.Shards == 0 is the serial seed-exact path (one
-	// engine, no lanes). cfg.Shards ≥ 1 assigns every node a lane and
-	// round-robins nodes over min(Shards, n) engines — except that serial-
-	// required features cap the engine count at 1.
-	laned := cfg.Shards > 0
+	// Engine layout: node i runs on event lane i+1 (lane 0 is the ambient
+	// lane), and nodes are round-robined over min(Shards, n) engines — one
+	// engine when Shards ≤ 1 or a serial-required feature is armed.
 	nshards := 1
-	if laned && !serialRequired(&cfg) {
-		nshards = cfg.Shards
-		if nshards > n {
-			nshards = n
-		}
+	if cfg.Shards > 1 && !serialRequired(&cfg) {
+		nshards = min(cfg.Shards, n)
 	}
-	eng := sim.NewEngine()
-	engines := []*sim.Engine{eng}
-	var sharded *sim.Sharded
-	if laned {
-		for k := 1; k < nshards; k++ {
-			engines = append(engines, sim.NewEngine())
-		}
-		sharded = sim.NewSharded(engines, network.Lookahead(cfg.Network))
+	engines := make([]*sim.Engine, nshards)
+	for k := range engines {
+		engines[k] = sim.NewEngine()
 	}
-	engOf := func(i int) *sim.Engine { return engines[i%len(engines)] }
-	laneOf := func(i int) uint32 {
-		if !laned {
-			return 0
-		}
-		return uint32(i + 1)
-	}
+	eng := engines[0]
+	sharded := sim.NewSharded(engines, network.Lookahead(cfg.Network))
+	engOf := func(i int) *sim.Engine { return engines[i%nshards] }
+	laneOf := func(i int) uint32 { return uint32(i + 1) }
 
 	var fab network.Transport
 	switch cfg.Network.Topology {
 	case config.TopologyStar, "":
 		star := network.NewFabric(eng, cfg.Network, n)
-		if laned {
-			engTab := make([]*sim.Engine, n)
-			laneTab := make([]uint32, n)
-			for i := 0; i < n; i++ {
-				engTab[i], laneTab[i] = engOf(i), laneOf(i)
-			}
-			star.SetSharding(sharded, engTab, laneTab)
+		engTab := make([]*sim.Engine, n)
+		laneTab := make([]uint32, n)
+		for i := 0; i < n; i++ {
+			engTab[i], laneTab[i] = engOf(i), laneOf(i)
 		}
+		star.SetSharding(sharded, engTab, laneTab)
 		fab = star
 	case config.TopologyFatTree:
 		// The fat-tree's shared switch ports force a single engine
@@ -243,12 +227,9 @@ func NewCluster(cfg config.SystemConfig, n int) *Cluster {
 	default:
 		panic(fmt.Sprintf("node: unknown topology %q", cfg.Network.Topology))
 	}
-	inj := fault.NewInjector(cfg.Faults)
-	if laned {
-		// Lane-assigned clusters draw fault verdicts on the deciding node's
-		// engine, so every verdict stream and counter must be per-node.
-		inj.Shard(n)
-	}
+	// Fault verdicts are drawn on the deciding node's engine, so every
+	// verdict stream and counter is per-node.
+	inj := fault.NewInjector(cfg.Faults, n)
 	fab.SetInjector(inj)
 	au := audit.New(n)
 	if ft, ok := fab.(*network.FatTree); ok {
@@ -348,14 +329,9 @@ func (c *Cluster) RestartNode(i int) {
 // Size returns the number of nodes.
 func (c *Cluster) Size() int { return len(c.Nodes) }
 
-// Run drives the simulation until the event queues drain — through the
-// bounded-window coordinator on a sharded cluster, directly otherwise.
+// Run drives the simulation until the event queues drain.
 func (c *Cluster) Run() {
-	if c.Sharded != nil {
-		c.Sharded.Run()
-	} else {
-		c.Eng.Run()
-	}
+	c.Sharded.Run()
 	c.quiescent = true
 }
 
@@ -363,11 +339,7 @@ func (c *Cluster) Run() {
 // stranded in flight at the cutoff exempt the run from the auditor's full
 // conservation reconciliation (over-delivery is still checked).
 func (c *Cluster) RunUntil(t sim.Time) {
-	if c.Sharded != nil {
-		c.Sharded.RunUntil(t)
-	} else {
-		c.Eng.RunUntil(t)
-	}
+	c.Sharded.RunUntil(t)
 	c.quiescent = false
 }
 

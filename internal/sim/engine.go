@@ -262,12 +262,11 @@ func (e *Engine) scheduleLane(at Time, label string, fn func(), proc *Proc, exec
 }
 
 // laneNext advances and returns the lane's schedule counter, growing the
-// counter table on first use of a new lane.
+// counter table on first use of a new lane. Growth goes through append so
+// a cluster that opens its lanes one by one costs amortized O(1) per lane.
 func (e *Engine) laneNext(lane uint32) uint64 {
-	if int(lane) >= len(e.laneSeq) {
-		grown := make([]uint64, lane+1)
-		copy(grown, e.laneSeq)
-		e.laneSeq = grown
+	if n := int(lane) + 1; n > len(e.laneSeq) {
+		e.laneSeq = append(e.laneSeq, make([]uint64, n-len(e.laneSeq))...)
 	}
 	e.laneSeq[lane]++
 	return e.laneSeq[lane]
@@ -419,7 +418,8 @@ func (e *Engine) NextAt() (Time, bool) {
 }
 
 // RunUntil executes events with time ≤ deadline, leaving later events
-// queued, and advances the clock to deadline if the simulation outlived it.
+// queued, and advances the clock to deadline if the simulation outlived it
+// (unless Stop ended the run first).
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
 	start := e.executed
@@ -434,12 +434,13 @@ func (e *Engine) RunUntil(deadline Time) {
 	e.curLane = 0
 	totalExecuted.Add(e.executed - start)
 	e.stopIdle()
-	if e.now < deadline {
+	if !e.stopped && e.now < deadline {
 		e.now = deadline
 	}
 }
 
-// Stop makes Run/RunUntil return after the current event completes.
+// Stop makes Run/RunUntil return after the current event completes, with
+// the clock left at that event.
 func (e *Engine) Stop() { e.stopped = true }
 
 // nextAt reports the time of the next live event, assuming drainCancelled

@@ -65,14 +65,15 @@ type Sharded struct {
 	wg    sync.WaitGroup
 }
 
-// NewSharded groups engines for bounded-window execution. lookahead must be
-// positive: it is the guarantee that no cross-shard interaction lands within
-// its own window.
+// NewSharded groups engines for bounded-window execution. With more than
+// one engine lookahead must be positive: it is the guarantee that no
+// cross-shard interaction lands within its own window. A one-engine group
+// has no cross-shard interaction and runs without windows.
 func NewSharded(engines []*Engine, lookahead Time) *Sharded {
 	if len(engines) == 0 {
 		panic("sim: sharded group needs at least one engine")
 	}
-	if lookahead <= 0 {
+	if len(engines) > 1 && lookahead <= 0 {
 		panic(fmt.Sprintf("sim: non-positive lookahead %v", lookahead))
 	}
 	for i, e := range engines {
@@ -145,10 +146,15 @@ func (sh *Sharded) deliver() {
 // nothing is left to execute) and executed-event counts are flushed into the
 // process-wide and per-shard totals.
 //
-// With a single engine, or when the process has one scheduling thread
-// (GOMAXPROCS=1), windows run inline on the caller — same window sequence,
-// same mail traffic, no goroutines. Otherwise each engine gets a worker for
-// the duration of the call.
+// A one-engine group runs straight through with Engine.Run: windows only
+// order cross-shard mail, and there is none. With several engines and one
+// scheduling thread (GOMAXPROCS=1), windows run inline on the caller — same
+// window sequence, same mail traffic, no goroutines. Otherwise each engine
+// gets a worker for the duration of the call.
+//
+// Stop on any engine ends the run early: at once on a one-engine group, at
+// the next window barrier otherwise. Clocks are then left where each engine
+// stopped.
 func (sh *Sharded) Run() { sh.run(-1) }
 
 // RunUntil executes the group's events with time ≤ deadline, leaving later
@@ -161,17 +167,29 @@ func (sh *Sharded) RunUntil(deadline Time) {
 	sh.run(deadline)
 }
 
-// run is the window loop; deadline < 0 means run to quiescence.
+// run drives the group; deadline < 0 means run to quiescence.
 func (sh *Sharded) run(deadline Time) {
+	if len(sh.engines) == 1 {
+		e := sh.engines[0]
+		start := e.executed
+		if deadline < 0 {
+			e.Run()
+		} else {
+			e.RunUntil(deadline)
+		}
+		addShardExecuted(0, e.executed-start)
+		return
+	}
 	starts := make([]uint64, len(sh.engines))
 	for i, e := range sh.engines {
 		starts[i] = e.executed
 	}
-	parallel := len(sh.engines) > 1 && runtime.GOMAXPROCS(0) > 1
+	parallel := runtime.GOMAXPROCS(0) > 1
 	if parallel {
 		sh.startWorkers()
 	}
-	for {
+	stopped := false
+	for !stopped {
 		T, ok := sh.minNext()
 		if !ok || (deadline >= 0 && T > deadline) {
 			break
@@ -190,6 +208,9 @@ func (sh *Sharded) run(deadline Time) {
 			}
 		}
 		sh.deliver()
+		for _, e := range sh.engines {
+			stopped = stopped || e.stopped
+		}
 	}
 	if parallel {
 		sh.stopWorkers()
@@ -201,7 +222,9 @@ func (sh *Sharded) run(deadline Time) {
 		}
 	}
 	for i, e := range sh.engines {
-		e.now = maxNow
+		if !stopped {
+			e.now = maxNow
+		}
 		e.curLane = 0
 		d := e.executed - starts[i]
 		totalExecuted.Add(d)

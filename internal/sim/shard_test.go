@@ -148,33 +148,105 @@ func TestShardedLookaheadViolationPanics(t *testing.T) {
 	sh.SendMail(engines[0], engines[1], 50, 1, "", func() {})
 }
 
-// TestShardedSingleEngineMatchesRun: a one-engine Sharded group must behave
-// exactly like Engine.Run on the same workload.
+// TestShardedSingleEngineMatchesRun: a one-engine group needs no lookahead
+// and runs the golden workload exactly as the bare engine does — same
+// trace, clock and TotalExecuted, through Run and through RunUntil (whose
+// clock ends at the deadline) — and credits every executed event to
+// shard 0.
 func TestShardedSingleEngineMatchesRun(t *testing.T) {
-	build := func(e *Engine, log *[]string) {
-		e.Go("worker", func(p *Proc) {
-			for k := 0; k < 5; k++ {
-				p.Sleep(Time(10 * (k + 1)))
-				*log = append(*log, fmt.Sprintf("tick %d @%d", k, p.Now()))
+	for _, deadline := range []Time{-1, 700} {
+		drive := func(run func(e *Engine)) (trace []string, now Time, executed uint64) {
+			e := NewEngine()
+			goldenWorkload(e, &trace)
+			before := TotalExecuted()
+			run(e)
+			return trace, e.Now(), TotalExecuted() - before
+		}
+		refTrace, refNow, refExec := drive(func(e *Engine) {
+			if deadline < 0 {
+				e.Run()
+			} else {
+				e.RunUntil(deadline)
 			}
 		})
-		e.After(37, func() { *log = append(*log, fmt.Sprintf("oneshot @%d", e.Now())) })
+		var shardBefore, shardAfter uint64
+		trace, now, executed := drive(func(e *Engine) {
+			sh := NewSharded([]*Engine{e}, 0)
+			shardBefore = shardExecuted0()
+			if deadline < 0 {
+				sh.Run()
+			} else {
+				sh.RunUntil(deadline)
+			}
+			shardAfter = shardExecuted0()
+		})
+		if !reflect.DeepEqual(trace, refTrace) {
+			t.Errorf("deadline %d: one-engine group trace diverges from Engine (%d vs %d events)", deadline, len(trace), len(refTrace))
+		}
+		if now != refNow {
+			t.Errorf("deadline %d: clock %d, want %d", deadline, now, refNow)
+		}
+		if deadline >= 0 && now != deadline {
+			t.Errorf("RunUntil(%d) left the clock at %d", deadline, now)
+		}
+		if executed != refExec || executed == 0 {
+			t.Errorf("deadline %d: TotalExecuted grew by %d, want %d", deadline, executed, refExec)
+		}
+		if got := shardAfter - shardBefore; got != executed {
+			t.Errorf("deadline %d: ShardExecuted()[0] grew by %d, want %d", deadline, got, executed)
+		}
 	}
-	var refLog []string
-	ref := NewEngine()
-	build(ref, &refLog)
-	ref.Run()
+}
 
-	var log []string
-	e := NewEngine()
-	build(e, &log)
-	NewSharded([]*Engine{e}, 100).Run()
-
-	if !reflect.DeepEqual(log, refLog) {
-		t.Errorf("sharded(1) log %v, want %v", log, refLog)
+func shardExecuted0() uint64 {
+	if s := ShardExecuted(); len(s) > 0 {
+		return s[0]
 	}
-	if e.Now() != ref.Now() {
-		t.Errorf("sharded(1) final time %d, want %d", e.Now(), ref.Now())
+	return 0
+}
+
+// TestShardedStopEndsRun: Stop ends a group run at every engine count — at
+// once on one engine, at the next window barrier on several — leaving the
+// stopping engine's clock at the stop, even under RunUntil; a later run
+// resumes the queued work.
+func TestShardedStopEndsRun(t *testing.T) {
+	for _, deadline := range []Time{-1, 1000} {
+		for _, nEngines := range []int{1, 2} {
+			engines := make([]*Engine, nEngines)
+			for i := range engines {
+				engines[i] = NewEngine()
+			}
+			sh := NewSharded(engines, 100)
+			run := sh.Run
+			if deadline >= 0 {
+				run = func() { sh.RunUntil(deadline) }
+			}
+			last := engines[nEngines-1]
+			last.Schedule(50, last.Stop)
+			// One counter per engine: engines run their windows in parallel.
+			late := make([]int, nEngines)
+			for i, e := range engines {
+				i := i
+				e.Schedule(500, func() { late[i]++ })
+			}
+			count := func() (n int) {
+				for _, l := range late {
+					n += l
+				}
+				return n
+			}
+			run()
+			if n := count(); n != 0 {
+				t.Fatalf("deadline %d, %d engines: %d events past the stop ran", deadline, nEngines, n)
+			}
+			if last.Now() != 50 {
+				t.Fatalf("deadline %d, %d engines: stopping engine's clock at %d, want 50", deadline, nEngines, last.Now())
+			}
+			run()
+			if n := count(); n != nEngines {
+				t.Fatalf("deadline %d, %d engines: resumed run ran %d of %d queued events", deadline, nEngines, n, nEngines)
+			}
+		}
 	}
 }
 
