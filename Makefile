@@ -94,7 +94,8 @@ bench-smoke:
 	$(GO) run ./cmd/gputn-bench -exp perf -perf-preset smoke -bench-baseline BENCH_sim.json -bench-out BENCH_sim.json
 
 ## bench-shards: the parallel-engine smoke — runs fig10 at the default
-## layout and at -shards 1 and -shards 4, and the packet-loss sweep (faults)
+## layout and at -shards 1 and -shards 4 on the star and on the fat-tree
+## (-topo fattree), and the packet-loss sweep (faults)
 ## at the default and at -shards 4, failing if any split run's simulated
 ## output diverges from the default's (shard-count invariance is the
 ## engine's correctness contract; DESIGN.md §15), then runs the shard
@@ -109,6 +110,11 @@ bench-shards:
 	"$$dir/gputn-bench" -exp fig10 -shards 4 | grep -v '^engine: sharded' > "$$dir/fig10-s4.txt"; \
 	diff "$$dir/fig10-serial.txt" "$$dir/fig10-s1.txt"; \
 	diff "$$dir/fig10-serial.txt" "$$dir/fig10-s4.txt"; \
+	"$$dir/gputn-bench" -exp fig10 -topo fattree > "$$dir/fig10-ft.txt"; \
+	"$$dir/gputn-bench" -exp fig10 -topo fattree -shards 1 | grep -v '^engine: sharded' > "$$dir/fig10-ft-s1.txt"; \
+	"$$dir/gputn-bench" -exp fig10 -topo fattree -shards 4 | grep -v '^engine: sharded' > "$$dir/fig10-ft-s4.txt"; \
+	diff "$$dir/fig10-ft.txt" "$$dir/fig10-ft-s1.txt"; \
+	diff "$$dir/fig10-ft.txt" "$$dir/fig10-ft-s4.txt"; \
 	"$$dir/gputn-bench" -exp faults > "$$dir/faults-default.txt"; \
 	"$$dir/gputn-bench" -exp faults -shards 4 | grep -v '^engine: sharded' > "$$dir/faults-s4.txt"; \
 	diff "$$dir/faults-default.txt" "$$dir/faults-s4.txt"

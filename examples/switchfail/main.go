@@ -20,7 +20,6 @@ import (
 	"repro/internal/backends"
 	"repro/internal/collective"
 	"repro/internal/config"
-	"repro/internal/network"
 	"repro/internal/node"
 	"repro/internal/sim"
 )
@@ -49,7 +48,7 @@ func main() {
 	}}
 
 	cluster := node.NewCluster(cfg, nodesN)
-	ft := cluster.Fabric.(*network.FatTree)
+	ft := cluster.Fabric
 	fmt.Printf("fat-tree: %d leaves, %d pods, %d spines, %d cores (%d switches)\n",
 		ft.Leaves(), ft.Pods(), ft.Spines(), ft.Cores(), ft.SwitchCount())
 	fmt.Println(cluster.SwitchPlan.Summary())
@@ -87,7 +86,7 @@ func main() {
 		{Tier: config.SwitchTierSpine, Index: 1, At: 2 * sim.Microsecond},
 	}}
 	cluster2 := node.NewCluster(cfg2, nodesN)
-	ft2 := cluster2.Fabric.(*network.FatTree)
+	ft2 := cluster2.Fabric
 	fmt.Println(cluster2.SwitchPlan.Summary())
 	_, err = collective.Run(cluster2, collective.Config{
 		Kind:       backends.GPUTN,

@@ -20,17 +20,24 @@ import (
 
 // PerfResult is one measured experiment, timed Runs times. Wall time,
 // events/sec and allocs/event are medians over the runs; the events/sec
-// spread is kept so a reader can tell a regression from host noise.
+// spread is kept so a reader can tell a regression from host noise. Each
+// timed run repeats the experiment Reps times so that it covers at least
+// perfMinSampleWall: a row of a few milliseconds is otherwise dominated by
+// timer and scheduler noise.
 type PerfResult struct {
-	Name   string  `json:"name"`
+	Name string `json:"name"`
+	// WallMs is the median wall time of one repetition.
 	WallMs float64 `json:"wall_ms"`
 	// Events counts simulation events fired across every engine the
-	// experiment created (from sim.TotalExecuted deltas) in one run.
+	// experiment created (from sim.TotalExecuted deltas) in one repetition.
 	Events          uint64  `json:"events"`
 	EventsPerSec    float64 `json:"events_per_sec"`
 	EventsPerSecMin float64 `json:"events_per_sec_min"`
 	EventsPerSecMax float64 `json:"events_per_sec_max"`
 	Runs            int     `json:"runs"`
+	// Reps is the median number of repetitions a timed run took to cover
+	// perfMinSampleWall (1 for a row that covers it alone).
+	Reps int `json:"reps"`
 	// AllocsPerEvent is heap allocations per fired event across the whole
 	// harness (runtime.MemStats Mallocs delta / events) — a model-stack
 	// figure, not just the engine core.
@@ -135,6 +142,22 @@ func shardDelta(before, after []uint64) []uint64 {
 	return out
 }
 
+// perfMinSampleWall is the least wall time one timed run covers: a row
+// shorter than this repeats its experiment until the run reaches it.
+const perfMinSampleWall = 100 * time.Millisecond
+
+// timeReps runs fn at least once and until the elapsed wall time covers
+// perfMinSampleWall, and returns that wall time and the repetitions.
+func timeReps(fn func()) (time.Duration, int) {
+	t0 := time.Now()
+	n := 0
+	for n == 0 || time.Since(t0) < perfMinSampleWall {
+		fn()
+		n++
+	}
+	return time.Since(t0), n
+}
+
 // perSec is events per second over wall, 0 for an unmeasurable wall.
 func perSec(events uint64, wall time.Duration) float64 {
 	if wall <= 0 {
@@ -144,8 +167,10 @@ func perSec(events uint64, wall time.Duration) float64 {
 }
 
 // RunPerf executes the preset's experiments runs times each (at least
-// once) and reports per experiment the median wall time, events/sec and
-// allocs/event, and the events/sec spread.
+// once), each timed run repeating the experiment until it covers
+// perfMinSampleWall, and reports per experiment the median wall time per
+// repetition, events/sec (reps×events/wall) and allocs/event, and the
+// events/sec spread.
 func RunPerf(cfg config.SystemConfig, preset string, runs int) (*PerfReport, error) {
 	exps, err := perfSuite(cfg, preset)
 	if err != nil {
@@ -161,6 +186,7 @@ func RunPerf(cfg config.SystemConfig, preset string, runs int) (*PerfReport, err
 	for _, ex := range exps {
 		r := PerfResult{Name: ex.name, Runs: runs, Shards: ex.shards}
 		walls := make([]time.Duration, runs)
+		reps := make([]int, runs)
 		allocs := make([]uint64, runs)
 		for i := range walls {
 			// Collect before timing so each run starts from a clean GC
@@ -172,22 +198,26 @@ func RunPerf(cfg config.SystemConfig, preset string, runs int) (*PerfReport, err
 			runtime.ReadMemStats(&before)
 			ev0 := sim.TotalExecuted()
 			sh0 := sim.ShardExecuted()
-			t0 := time.Now()
-			ex.run()
-			walls[i] = time.Since(t0)
-			// Experiments are deterministic: every run fires the same
-			// events.
-			r.Events = sim.TotalExecuted() - ev0
+			wall, n := timeReps(ex.run)
+			// Experiments are deterministic: every repetition fires the
+			// same events.
+			r.Events = (sim.TotalExecuted() - ev0) / uint64(n)
 			if ex.shards > 0 {
 				r.ShardEvents = shardDelta(sh0, sim.ShardExecuted())
+				for k := range r.ShardEvents {
+					r.ShardEvents[k] /= uint64(n)
+				}
 			}
 			runtime.ReadMemStats(&after)
-			allocs[i] = after.Mallocs - before.Mallocs
+			walls[i], reps[i] = wall/time.Duration(n), n
+			allocs[i] = (after.Mallocs - before.Mallocs) / uint64(n)
 		}
 		slices.Sort(walls)
+		slices.Sort(reps)
 		slices.Sort(allocs)
 		wall := walls[runs/2]
 		r.WallMs = float64(wall.Microseconds()) / 1000
+		r.Reps = reps[runs/2]
 		r.EventsPerSec = perSec(r.Events, wall)
 		r.EventsPerSecMin = perSec(r.Events, walls[runs-1])
 		r.EventsPerSecMax = perSec(r.Events, walls[0])
@@ -208,10 +238,10 @@ func RunPerf(cfg config.SystemConfig, preset string, runs int) (*PerfReport, err
 func (r *PerfReport) Render() string {
 	out := fmt.Sprintf("Simulator perf (%s preset, %s, GOMAXPROCS=%d, parallel=%d)\n",
 		r.Preset, r.GoVersion, r.GOMAXPROCS, r.Parallelism)
-	out += fmt.Sprintf("%-14s %10s %12s %14s %23s %12s %7s\n", "experiment", "wall ms", "events", "events/sec", "min-max", "allocs/event", "shards")
+	out += fmt.Sprintf("%-14s %10s %12s %14s %23s %12s %7s %5s\n", "experiment", "wall ms", "events", "events/sec", "min-max", "allocs/event", "shards", "reps")
 	for _, e := range r.Experiments {
-		out += fmt.Sprintf("%-14s %10.1f %12d %14.0f %11.0f-%-11.0f %12.2f %7d\n",
-			e.Name, e.WallMs, e.Events, e.EventsPerSec, e.EventsPerSecMin, e.EventsPerSecMax, e.AllocsPerEvent, e.Shards)
+		out += fmt.Sprintf("%-14s %10.1f %12d %14.0f %11.0f-%-11.0f %12.2f %7d %5d\n",
+			e.Name, e.WallMs, e.Events, e.EventsPerSec, e.EventsPerSecMin, e.EventsPerSecMax, e.AllocsPerEvent, e.Shards, e.Reps)
 	}
 	out += fmt.Sprintf("%-14s %10.1f %12d %14.0f\n", "total", r.TotalWallMs, r.TotalEvents, r.EventsPerSec)
 	return out

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/backends"
 	"repro/internal/config"
-	"repro/internal/network"
 	"repro/internal/node"
 	"repro/internal/sim"
 )
@@ -64,7 +63,7 @@ func TestFatTreeSpineKillEveryBackendReroutes(t *testing.T) {
 						}
 					}
 				}
-				ft := c.Fabric.(*network.FatTree)
+				ft := c.Fabric
 				if ft.Unrouteable() != 0 {
 					t.Fatalf("unrouteable = %d on a 2-spine fabric", ft.Unrouteable())
 				}
@@ -108,7 +107,7 @@ func TestFatTreeOnlyPathKillDiagnosesUnrouteable(t *testing.T) {
 			if !strings.Contains(err.Error(), "unrouteable") {
 				t.Fatalf("diagnosis does not name the unrouteable pairs: %v", err)
 			}
-			ft := c.Fabric.(*network.FatTree)
+			ft := c.Fabric
 			if ft.Unrouteable() == 0 {
 				t.Fatal("fabric counted no unrouteable messages")
 			}
@@ -143,7 +142,7 @@ func TestFatTreeShardCountInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		o := outcome{dur: res.Duration, out: res.Output[0], drops: c.Fabric.(*network.FatTree).SwitchDrops()}
+		o := outcome{dur: res.Duration, out: res.Output[0], drops: c.Fabric.SwitchDrops()}
 		for _, nd := range c.Nodes {
 			o.retx += nd.NIC.Stats().Retransmits
 		}
@@ -219,7 +218,7 @@ var topoScenarios = []topoScenario{
 			cfg.NIC.Reliability.AdaptiveRTO = true
 		},
 		check: func(t *testing.T, cl *node.Cluster) {
-			if cl.Fabric.(*network.FatTree).ECNMarks() == 0 {
+			if cl.Fabric.ECNMarks() == 0 {
 				t.Fatal("congested run marked nothing")
 			}
 		},

@@ -21,7 +21,7 @@ func ftCfg() config.NetworkConfig {
 
 func TestFatTreeShape(t *testing.T) {
 	e := sim.NewEngine()
-	f := NewFatTree(e, ftCfg(), 16)
+	f := New(e, ftCfg(), 16)
 	if f.Leaves() != 4 || f.Pods() != 2 || f.Spines() != 4 || f.Cores() != 2 {
 		t.Fatalf("shape = %d leaves %d pods %d spines %d cores", f.Leaves(), f.Pods(), f.Spines(), f.Cores())
 	}
@@ -50,7 +50,7 @@ func TestFatTreeTierLatencies(t *testing.T) {
 	}
 	for _, tc := range cases {
 		e := sim.NewEngine()
-		f := NewFatTree(e, ftCfg(), 16)
+		f := New(e, ftCfg(), 16)
 		var arrived sim.Time
 		f.Bind(tc.dst, func(m *Message) { arrived = e.Now() })
 		dst := tc.dst
@@ -67,7 +67,7 @@ func TestFatTreeSpineKillReroutes(t *testing.T) {
 	// must reroute through the survivor both times.
 	for kill := 0; kill < 2; kill++ {
 		e := sim.NewEngine()
-		f := NewFatTree(e, ftCfg(), 16)
+		f := New(e, ftCfg(), 16)
 		delivered := 0
 		f.Bind(5, func(m *Message) { delivered++ })
 		f.KillSwitch(config.SwitchTierSpine, kill)
@@ -84,7 +84,7 @@ func TestFatTreeSpineKillReroutes(t *testing.T) {
 
 func TestFatTreeTrunkKillReroutes(t *testing.T) {
 	e := sim.NewEngine()
-	f := NewFatTree(e, ftCfg(), 16)
+	f := New(e, ftCfg(), 16)
 	delivered := 0
 	f.Bind(5, func(m *Message) { delivered++ })
 	// Cut leaf0's uplink to spine0: 0->5 must use spine1.
@@ -98,7 +98,7 @@ func TestFatTreeTrunkKillReroutes(t *testing.T) {
 
 func TestFatTreeUnrouteableNamed(t *testing.T) {
 	e := sim.NewEngine()
-	f := NewFatTree(e, ftCfg(), 16)
+	f := New(e, ftCfg(), 16)
 	delivered := 0
 	f.Bind(5, func(m *Message) { delivered++ })
 	f.Bind(1, func(m *Message) { delivered++ })
@@ -128,7 +128,7 @@ func TestFatTreeUnrouteableNamed(t *testing.T) {
 
 func TestFatTreeDeadLeafUnrouteable(t *testing.T) {
 	e := sim.NewEngine()
-	f := NewFatTree(e, ftCfg(), 16)
+	f := New(e, ftCfg(), 16)
 	f.Bind(5, func(m *Message) { t.Error("delivered through a dead leaf") })
 	f.KillSwitch(config.SwitchTierLeaf, 1)
 	e.Go("s", func(p *sim.Proc) { f.Send(&Message{Src: 0, Dst: 5, Size: 64}) })
@@ -143,7 +143,7 @@ func TestFatTreeDeadLeafUnrouteable(t *testing.T) {
 
 func TestFatTreeKillRestoreCycle(t *testing.T) {
 	e := sim.NewEngine()
-	f := NewFatTree(e, ftCfg(), 16)
+	f := New(e, ftCfg(), 16)
 	delivered := 0
 	f.Bind(12, func(m *Message) { delivered++ })
 	// Kill everything 0->12 could use at t=0, restore at 10us, send at 20us.
@@ -171,7 +171,7 @@ func TestFatTreeMidFlightKillDropsAndCounts(t *testing.T) {
 	// dead ports, the message is damaged (never delivered), and the drops
 	// land in SwitchDrops.
 	e := sim.NewEngine()
-	f := NewFatTree(e, ftCfg(), 16)
+	f := New(e, ftCfg(), 16)
 	delivered := 0
 	f.Bind(5, func(m *Message) { delivered++ })
 	e.Go("s", func(p *sim.Proc) {
@@ -201,7 +201,7 @@ func TestFatTreeCreditsBoundAndECNMarks(t *testing.T) {
 	cfg.FatTree.QueueCredits = 2
 	cfg.FatTree.ECNThreshold = 1
 	e := sim.NewEngine()
-	f := NewFatTree(e, cfg, 16)
+	f := New(e, cfg, 16)
 	delivered, marked := 0, 0
 	f.Bind(0, func(m *Message) {
 		delivered++
@@ -230,7 +230,7 @@ func TestFatTreeECMPDisjointPairsSpread(t *testing.T) {
 	// Deterministic ECMP: the same pair always picks the same path, and
 	// across many pairs both pod-0 spines carry traffic.
 	e := sim.NewEngine()
-	f := NewFatTree(e, ftCfg(), 16)
+	f := New(e, ftCfg(), 16)
 	used := map[int]bool{}
 	for src := 0; src < 8; src++ {
 		for dst := 0; dst < 8; dst++ {
@@ -239,11 +239,11 @@ func TestFatTreeECMPDisjointPairsSpread(t *testing.T) {
 			}
 			p1, _ := f.pickPath(NodeID(src), NodeID(dst))
 			p2, _ := f.pickPath(NodeID(src), NodeID(dst))
-			if len(p1) != len(p2) || p1[1] != p2[1] {
+			if p1 != p2 {
 				t.Fatalf("pickPath(%d,%d) not deterministic", src, dst)
 			}
 			for sl := 0; sl < 2; sl++ {
-				if p1[1] == f.leafUp[f.topo.LeafOf(src)][sl] {
+				if p1.st[1] == f.leafUp[f.topo.LeafOf(src)][sl] {
 					used[sl] = true
 				}
 			}
@@ -258,7 +258,7 @@ func TestFatTreeHopConservationUnderKill(t *testing.T) {
 	// The per-switch hop ledger must balance (in == out + dropped) even
 	// when a spine dies mid-traffic and everything reroutes.
 	e := sim.NewEngine()
-	f := NewFatTree(e, ftCfg(), 16)
+	f := New(e, ftCfg(), 16)
 	au := audit.New(16)
 	au.RegisterHops(f.SwitchCount())
 	f.SetAuditor(au)
@@ -292,7 +292,7 @@ func TestFatTreeHopConservationUnderKill(t *testing.T) {
 // the same load on the star, with no shared stage, finishes sooner.
 func TestFatTreeUplinkOversubscription(t *testing.T) {
 	const msg = 256 << 10
-	blast := func(tr Transport, e *sim.Engine) sim.Time {
+	blast := func(tr *Fabric, e *sim.Engine) sim.Time {
 		for i := 4; i < 8; i++ {
 			tr.Bind(NodeID(i), func(m *Message) {})
 		}
@@ -307,12 +307,12 @@ func TestFatTreeUplinkOversubscription(t *testing.T) {
 	cfg := ftCfg()
 	cfg.FatTree = config.TopologyConfig{LeafSize: 4, PodLeaves: 2, Spines: 1, Cores: 1}
 	e := sim.NewEngine()
-	tree := blast(NewFatTree(e, cfg, 8), e)
+	tree := blast(New(e, cfg, 8), e)
 	if floor := sim.BytesAtGbps(4*msg, 100); tree < floor {
 		t.Fatalf("4 cross-leaf transfers finished in %v, faster than the uplink floor %v", tree, floor)
 	}
 	e2 := sim.NewEngine()
-	if star := blast(NewFabric(e2, netCfg(), 8), e2); star >= tree {
+	if star := blast(New(e2, netCfg(), 8), e2); star >= tree {
 		t.Fatalf("star (%v) should beat the oversubscribed one-spine fat-tree (%v)", star, tree)
 	}
 }
@@ -332,7 +332,7 @@ func treeCfg(n, leaf int) config.NetworkConfig {
 
 func TestTreeSameLeafLatency(t *testing.T) {
 	e := sim.NewEngine()
-	f := NewFatTree(e, treeCfg(8, 4), 8)
+	f := New(e, treeCfg(8, 4), 8)
 	var arrived sim.Time
 	f.Bind(1, func(m *Message) { arrived = e.Now() })
 	e.Go("s", func(p *sim.Proc) { f.Send(&Message{Src: 0, Dst: 1, Size: 64}) })
@@ -347,7 +347,7 @@ func TestTreeSameLeafLatency(t *testing.T) {
 
 func TestTreeCrossLeafLatency(t *testing.T) {
 	e := sim.NewEngine()
-	f := NewFatTree(e, treeCfg(8, 4), 8)
+	f := New(e, treeCfg(8, 4), 8)
 	var arrived sim.Time
 	f.Bind(5, func(m *Message) { arrived = e.Now() })
 	e.Go("s", func(p *sim.Proc) { f.Send(&Message{Src: 0, Dst: 5, Size: 64}) })
@@ -361,7 +361,7 @@ func TestTreeCrossLeafLatency(t *testing.T) {
 
 func TestTreeLeafAccessors(t *testing.T) {
 	e := sim.NewEngine()
-	f := NewFatTree(e, treeCfg(10, 4), 10)
+	f := New(e, treeCfg(10, 4), 10)
 	if f.Leaves() != 3 {
 		t.Fatalf("Leaves = %d", f.Leaves())
 	}
@@ -381,7 +381,7 @@ func TestTreeConservationProperty(t *testing.T) {
 		e := sim.NewEngine()
 		n := rng.Intn(6) + 2
 		leaf := rng.Intn(3) + 1
-		fab := NewFatTree(e, treeCfg(n, leaf), n)
+		fab := New(e, treeCfg(n, leaf), n)
 		type pair struct{ s, d NodeID }
 		lastSeen := map[pair]int{}
 		ok := true
@@ -430,7 +430,7 @@ func TestTreeValidation(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("zero nodes", func() { NewFatTree(e, treeCfg(4, 4), 0) })
+	mustPanic("zero nodes", func() { New(e, treeCfg(4, 4), 0) })
 	// The leaf size is now a config field: a bad one is a config error
 	// rather than a constructor panic.
 	bad := config.Default()
@@ -439,7 +439,7 @@ func TestTreeValidation(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("negative leaf: expected a config error")
 	}
-	f := NewFatTree(e, treeCfg(4, 2), 4)
+	f := New(e, treeCfg(4, 2), 4)
 	mustPanic("loopback", func() { f.Send(&Message{Src: 1, Dst: 1, Size: 1}) })
 	mustPanic("range", func() { f.Send(&Message{Src: 0, Dst: 9, Size: 1}) })
 	mustPanic("negative", func() { f.Send(&Message{Src: 0, Dst: 1, Size: -1}) })
@@ -457,7 +457,7 @@ func TestFatTreeConservationProperty(t *testing.T) {
 		}
 		e := sim.NewEngine()
 		n := rng.Intn(14) + 2
-		fab := NewFatTree(e, cfg, n)
+		fab := New(e, cfg, n)
 		type pair struct{ s, d NodeID }
 		lastSeen := map[pair]int{}
 		ok := true
@@ -506,8 +506,8 @@ func TestFatTreeValidation(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("zero nodes", func() { NewFatTree(e, ftCfg(), 0) })
-	f := NewFatTree(e, ftCfg(), 16)
+	mustPanic("zero nodes", func() { New(e, ftCfg(), 0) })
+	f := New(e, ftCfg(), 16)
 	mustPanic("loopback", func() { f.Send(&Message{Src: 1, Dst: 1, Size: 1}) })
 	mustPanic("range", func() { f.Send(&Message{Src: 0, Dst: 99, Size: 1}) })
 	mustPanic("negative", func() { f.Send(&Message{Src: 0, Dst: 1, Size: -1}) })

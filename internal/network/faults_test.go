@@ -11,11 +11,11 @@ import (
 // transports builds both fabric topologies with an injector, so every fault
 // behavior is asserted at both fabrics' fault points. The fat-tree puts two
 // nodes on each leaf, so 0->3 crosses a spine.
-func transports(e *sim.Engine, n int, faults config.FaultConfig) map[string]Transport {
-	star := NewFabric(e, netCfg(), n)
+func transports(e *sim.Engine, n int, faults config.FaultConfig) map[string]*Fabric {
+	star := New(e, netCfg(), n)
 	cfg := ftCfg()
 	cfg.FatTree.LeafSize = 2
-	m := map[string]Transport{"star": star, "fattree": NewFatTree(e, cfg, n)}
+	m := map[string]*Fabric{"star": star, "fattree": New(e, cfg, n)}
 	for _, tr := range m {
 		tr.SetInjector(fault.NewInjector(faults, n))
 	}
@@ -53,7 +53,7 @@ func TestPartialDropLosesWholeMessage(t *testing.T) {
 	// Drop probability low enough that (with this seed) some packets of the
 	// 8-packet message survive and some are dropped.
 	e := sim.NewEngine()
-	f := NewFabric(e, netCfg(), 2)
+	f := New(e, netCfg(), 2)
 	f.SetInjector(fault.NewInjector(config.FaultConfig{Seed: 3, DropProb: 0.3}, 2))
 	delivered := 0
 	f.Bind(1, func(m *Message) { delivered++ })
@@ -101,7 +101,7 @@ func TestInjectorCorruptFlagsMessage(t *testing.T) {
 func TestInjectorJitterDelaysDelivery(t *testing.T) {
 	arrival := func(faults config.FaultConfig) sim.Time {
 		e := sim.NewEngine()
-		f := NewFabric(e, netCfg(), 2)
+		f := New(e, netCfg(), 2)
 		f.SetInjector(fault.NewInjector(faults, 2))
 		var at sim.Time
 		f.Bind(1, func(m *Message) { at = e.Now() })
@@ -123,7 +123,7 @@ func TestInjectorJitterDelaysDelivery(t *testing.T) {
 func TestNilInjectorIdenticalToNoInjector(t *testing.T) {
 	run := func(set bool) sim.Time {
 		e := sim.NewEngine()
-		f := NewFabric(e, netCfg(), 2)
+		f := New(e, netCfg(), 2)
 		if set {
 			f.SetInjector(nil)
 		}

@@ -8,11 +8,11 @@ import (
 	"repro/internal/sim"
 )
 
-// ledger is the per-node bookkeeping both fabrics embed: delivery handlers,
-// the fault injector and auditor hooks, and the Transport counters. Every
-// counter is indexed by the node that owns it — sends, drops, losses, and
-// corruptions by the source (the fault point), deliveries by the
-// destination — so a sharded star touches each cell from one engine only.
+// ledger is the Fabric's per-node bookkeeping: delivery handlers, the fault
+// injector and auditor hooks, and the traffic counters. Every counter is
+// indexed by the node that owns it — sends, drops, losses, and corruptions
+// by the source (the fault point), deliveries by the destination — so a
+// sharded star touches each cell from one engine only.
 // The accessors aggregate on read; they are meant for reporting between
 // runs, not for concurrent model code.
 type ledger struct {

@@ -22,7 +22,7 @@ func netCfg() config.NetworkConfig {
 
 func TestSingleMessageLatency(t *testing.T) {
 	e := sim.NewEngine()
-	f := NewFabric(e, netCfg(), 2)
+	f := New(e, netCfg(), 2)
 	var arrived sim.Time
 	f.Bind(1, func(m *Message) { arrived = e.Now() })
 	f.Bind(0, func(m *Message) {})
@@ -39,7 +39,7 @@ func TestSingleMessageLatency(t *testing.T) {
 
 func TestZeroByteMessage(t *testing.T) {
 	e := sim.NewEngine()
-	f := NewFabric(e, netCfg(), 2)
+	f := New(e, netCfg(), 2)
 	delivered := false
 	f.Bind(1, func(m *Message) { delivered = true })
 	e.Go("send", func(p *sim.Proc) { f.Send(&Message{Src: 0, Dst: 1, Size: 0}) })
@@ -51,7 +51,7 @@ func TestZeroByteMessage(t *testing.T) {
 
 func TestMultiPacketPipelining(t *testing.T) {
 	e := sim.NewEngine()
-	f := NewFabric(e, netCfg(), 2)
+	f := New(e, netCfg(), 2)
 	var arrived sim.Time
 	f.Bind(1, func(m *Message) { arrived = e.Now() })
 	size := int64(3 * 4096)
@@ -67,7 +67,7 @@ func TestMultiPacketPipelining(t *testing.T) {
 
 func TestPerPairOrdering(t *testing.T) {
 	e := sim.NewEngine()
-	f := NewFabric(e, netCfg(), 2)
+	f := New(e, netCfg(), 2)
 	var got []int
 	f.Bind(1, func(m *Message) { got = append(got, m.Payload.(int)) })
 	e.Go("send", func(p *sim.Proc) {
@@ -91,7 +91,7 @@ func TestDestinationContention(t *testing.T) {
 	// Two senders blast one destination; aggregate delivery rate must not
 	// exceed the port rate.
 	e := sim.NewEngine()
-	f := NewFabric(e, netCfg(), 3)
+	f := New(e, netCfg(), 3)
 	f.Bind(2, func(m *Message) {})
 	const msgSize = 64 << 10
 	e.Go("s0", func(p *sim.Proc) { f.Send(&Message{Src: 0, Dst: 2, Size: msgSize}) })
@@ -109,7 +109,7 @@ func TestDestinationContention(t *testing.T) {
 
 func TestAccountingAndStats(t *testing.T) {
 	e := sim.NewEngine()
-	f := NewFabric(e, netCfg(), 4)
+	f := New(e, netCfg(), 4)
 	for i := 0; i < 4; i++ {
 		f.Bind(NodeID(i), func(m *Message) {})
 	}
@@ -132,7 +132,7 @@ func TestAccountingAndStats(t *testing.T) {
 
 func TestSendValidation(t *testing.T) {
 	e := sim.NewEngine()
-	f := NewFabric(e, netCfg(), 2)
+	f := New(e, netCfg(), 2)
 	mustPanic := func(name string, m *Message) {
 		defer func() {
 			if recover() == nil {
@@ -148,7 +148,7 @@ func TestSendValidation(t *testing.T) {
 
 func TestUnboundHandlerPanics(t *testing.T) {
 	e := sim.NewEngine()
-	f := NewFabric(e, netCfg(), 2)
+	f := New(e, netCfg(), 2)
 	e.Go("send", func(p *sim.Proc) { f.Send(&Message{Src: 0, Dst: 1, Size: 8}) })
 	defer func() {
 		r := recover()
@@ -172,7 +172,7 @@ func TestFabricConservationProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		e := sim.NewEngine()
 		n := rng.Intn(4) + 2
-		fab := NewFabric(e, netCfg(), n)
+		fab := New(e, netCfg(), n)
 		type pair struct{ s, d NodeID }
 		lastSeen := map[pair]int{}
 		ok := true
@@ -217,7 +217,7 @@ func TestFabricConservationProperty(t *testing.T) {
 func TestManyNodesAllToAll(t *testing.T) {
 	e := sim.NewEngine()
 	n := 8
-	f := NewFabric(e, netCfg(), n)
+	f := New(e, netCfg(), n)
 	recv := make([]int, n)
 	for i := 0; i < n; i++ {
 		i := i
@@ -243,7 +243,7 @@ func TestManyNodesAllToAll(t *testing.T) {
 func BenchmarkFabric64B(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := sim.NewEngine()
-		f := NewFabric(e, netCfg(), 2)
+		f := New(e, netCfg(), 2)
 		f.Bind(1, func(m *Message) {})
 		e.Go("s", func(p *sim.Proc) {
 			for j := 0; j < 100; j++ {
@@ -256,7 +256,7 @@ func BenchmarkFabric64B(b *testing.B) {
 
 func ExampleFabric() {
 	e := sim.NewEngine()
-	f := NewFabric(e, netCfg(), 2)
+	f := New(e, netCfg(), 2)
 	f.Bind(1, func(m *Message) {
 		fmt.Printf("node 1 got %dB %s at %v\n", m.Size, m.Kind, e.Now())
 	})

@@ -216,7 +216,7 @@ func TestAuditorCatchesSeededStaleDelivery(t *testing.T) {
 	run := func(debug bool) (*audit.Auditor, Stats, int64) {
 		cfg := config.Default()
 		eng := sim.NewEngine()
-		fab := network.NewFabric(eng, cfg.Network, 2)
+		fab := network.New(eng, cfg.Network, 2)
 		inj := fault.NewInjector(config.FaultConfig{DebugStaleDeliver: debug}, 2)
 		fab.SetInjector(inj)
 		au := audit.New(2)

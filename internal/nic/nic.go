@@ -373,7 +373,7 @@ type NIC struct {
 	eng    *sim.Engine
 	cfg    config.NICConfig
 	id     network.NodeID
-	fabric network.Transport
+	fabric *network.Fabric
 	inj    *fault.Injector
 	rel    *reliability // nil unless cfg.Reliability.Enabled
 
@@ -435,7 +435,7 @@ type NIC struct {
 
 // New creates a NIC bound to a fabric port and starts its internal
 // command and trigger pipelines.
-func New(eng *sim.Engine, cfg config.NICConfig, id network.NodeID, fabric network.Transport) *NIC {
+func New(eng *sim.Engine, cfg config.NICConfig, id network.NodeID, fabric *network.Fabric) *NIC {
 	n := &NIC{
 		eng:      eng,
 		cfg:      cfg,

@@ -22,7 +22,7 @@ func newRig(t testing.TB, n int) *rig {
 	t.Helper()
 	cfg := config.Default()
 	eng := sim.NewEngine()
-	fab := network.NewFabric(eng, cfg.Network, n)
+	fab := network.New(eng, cfg.Network, n)
 	r := &rig{eng: eng, fab: fab}
 	for i := 0; i < n; i++ {
 		r.nics = append(r.nics, New(eng, cfg.NIC, network.NodeID(i), fab))
@@ -356,7 +356,7 @@ func TestBoundedTriggerFIFODrops(t *testing.T) {
 	cfg := config.Default()
 	cfg.NIC.TriggerFIFODepth = 2
 	eng := sim.NewEngine()
-	fab := network.NewFabric(eng, cfg.Network, 2)
+	fab := network.New(eng, cfg.Network, 2)
 	n0 := New(eng, cfg.NIC, 0, fab)
 	New(eng, cfg.NIC, 1, fab)
 	eng.Go("gpu", func(p *sim.Proc) {

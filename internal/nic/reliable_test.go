@@ -16,7 +16,7 @@ func newRelRig(t testing.TB, n int, rel config.ReliabilityConfig, faults config.
 	cfg := config.Default()
 	cfg.NIC.Reliability = rel
 	eng := sim.NewEngine()
-	fab := network.NewFabric(eng, cfg.Network, n)
+	fab := network.New(eng, cfg.Network, n)
 	inj := fault.NewInjector(faults, n)
 	fab.SetInjector(inj)
 	r := &rig{eng: eng, fab: fab}

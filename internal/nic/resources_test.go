@@ -15,7 +15,7 @@ func newCappedRig(t testing.TB, n int, res config.ResourceConfig) *rig {
 	cfg := config.Default()
 	cfg.NIC.Resources = res
 	eng := sim.NewEngine()
-	fab := network.NewFabric(eng, cfg.Network, n)
+	fab := network.New(eng, cfg.Network, n)
 	r := &rig{eng: eng, fab: fab}
 	for i := 0; i < n; i++ {
 		r.nics = append(r.nics, New(eng, cfg.NIC, network.NodeID(i), fab))
@@ -156,7 +156,7 @@ func TestTriggerFIFODropAccounting(t *testing.T) {
 	cfg := config.Default()
 	cfg.NIC.TriggerFIFODepth = 2
 	eng := sim.NewEngine()
-	fab := network.NewFabric(eng, cfg.Network, 2)
+	fab := network.New(eng, cfg.Network, 2)
 	n0 := New(eng, cfg.NIC, 0, fab)
 	New(eng, cfg.NIC, 1, fab)
 	const writes = 50

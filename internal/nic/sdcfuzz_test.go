@@ -44,7 +44,7 @@ func newE2ERig(t testing.TB, bufferProb float64, seed int64) *rig {
 	cfg.NIC.Reliability = config.DefaultReliability()
 	cfg.NIC.E2EChecksum = true
 	eng := sim.NewEngine()
-	fab := network.NewFabric(eng, cfg.Network, 2)
+	fab := network.New(eng, cfg.Network, 2)
 	inj := fault.NewInjector(config.FaultConfig{
 		Seed: seed,
 		SDC:  config.SDCConfig{Seed: seed, BufferNode: 0, BufferProb: bufferProb},

@@ -123,7 +123,7 @@ type Cluster struct {
 	// deterministic bounded-window lockstep otherwise. Never nil.
 	Sharded *sim.Sharded
 	Cfg     config.SystemConfig
-	Fabric  network.Transport
+	Fabric  *network.Fabric
 	Nodes   []*Node
 	// Injector is the cluster-wide fault injector; nil when cfg.Faults is
 	// zero-valued (the lossless default).
@@ -209,31 +209,20 @@ func NewCluster(cfg config.SystemConfig, n int) *Cluster {
 	engOf := func(i int) *sim.Engine { return engines[i%nshards] }
 	laneOf := func(i int) uint32 { return uint32(i + 1) }
 
-	var fab network.Transport
-	switch cfg.Network.Topology {
-	case config.TopologyStar, "":
-		star := network.NewFabric(eng, cfg.Network, n)
-		engTab := make([]*sim.Engine, n)
-		laneTab := make([]uint32, n)
-		for i := 0; i < n; i++ {
-			engTab[i], laneTab[i] = engOf(i), laneOf(i)
-		}
-		star.SetSharding(sharded, engTab, laneTab)
-		fab = star
-	case config.TopologyFatTree:
-		// The fat-tree's shared switch ports force a single engine
-		// (serialRequired), so every shard count runs identically.
-		fab = network.NewFatTree(eng, cfg.Network, n)
-	default:
-		panic(fmt.Sprintf("node: unknown topology %q", cfg.Network.Topology))
+	fab := network.New(eng, cfg.Network, n)
+	engTab := make([]*sim.Engine, n)
+	laneTab := make([]uint32, n)
+	for i := 0; i < n; i++ {
+		engTab[i], laneTab[i] = engOf(i), laneOf(i)
 	}
+	fab.SetSharding(sharded, engTab, laneTab)
 	// Fault verdicts are drawn on the deciding node's engine, so every
 	// verdict stream and counter is per-node.
 	inj := fault.NewInjector(cfg.Faults, n)
 	fab.SetInjector(inj)
 	au := audit.New(n)
-	if ft, ok := fab.(*network.FatTree); ok {
-		au.RegisterHops(ft.SwitchCount())
+	if cfg.Network.Topology == config.TopologyFatTree {
+		au.RegisterHops(fab.SwitchCount())
 	}
 	fab.SetAuditor(au)
 	c := &Cluster{Eng: eng, Engines: engines, Sharded: sharded, Cfg: cfg, Fabric: fab, Injector: inj, Scenario: scen, Audit: au}
@@ -281,13 +270,9 @@ func NewCluster(cfg config.SystemConfig, n int) *Cluster {
 		plan.Arm(eng, c.CrashNode, c.RestartNode)
 	}
 	if plan := fault.NewSwitchPlan(cfg.Faults.Switch); plan != nil {
-		ft, ok := fab.(*network.FatTree)
-		if !ok {
-			// Validate() rejects switch events on non-fat-tree topologies.
-			panic("node: switch plan without a fat-tree fabric")
-		}
+		// Validate() rejects switch events off the fat-tree.
 		c.SwitchPlan = plan
-		plan.Arm(eng, ft.KillSwitch, ft.RestoreSwitch, ft.KillTrunk, ft.RestoreTrunk)
+		plan.Arm(eng, fab.KillSwitch, fab.RestoreSwitch, fab.KillTrunk, fab.RestoreTrunk)
 	}
 	return c
 }
@@ -380,9 +365,8 @@ func (c *Cluster) Diagnose() *sim.HangError {
 	if he != nil {
 		he.Crashed = crashed
 		he.Partitions = c.unhealedPartitions()
-		if ft, ok := c.Fabric.(*network.FatTree); ok && ft.Unrouteable() > 0 {
-			total := ft.Unrouteable()
-			for _, s := range ft.UnroutedSamples() {
+		if total := c.Fabric.Unrouteable(); total > 0 {
+			for _, s := range c.Fabric.UnroutedSamples() {
 				he.Unrouteable = append(he.Unrouteable, sim.Unrouteable{
 					Src: int(s.Src), Dst: int(s.Dst), At: s.At, Reason: s.Reason, Drops: total,
 				})
@@ -486,9 +470,9 @@ func (c *Cluster) StatsReport() string {
 	if c.SwitchPlan != nil {
 		fmt.Fprintf(&b, "%s\n", c.SwitchPlan.Summary())
 	}
-	if ft, ok := c.Fabric.(*network.FatTree); ok {
+	if c.Cfg.Network.Topology == config.TopologyFatTree {
 		fmt.Fprintf(&b, "fattree: switchDrops=%d ecnMarks=%d unrouteable=%d\n",
-			ft.SwitchDrops(), ft.ECNMarks(), ft.Unrouteable())
+			c.Fabric.SwitchDrops(), c.Fabric.ECNMarks(), c.Fabric.Unrouteable())
 	}
 	if c.Injector != nil {
 		fs := c.Injector.Stats()

@@ -19,7 +19,7 @@ func newWorld(t testing.TB, n int) *world {
 	t.Helper()
 	cfg := config.Default()
 	eng := sim.NewEngine()
-	fab := network.NewFabric(eng, cfg.Network, n)
+	fab := network.New(eng, cfg.Network, n)
 	w := &world{eng: eng}
 	for i := 0; i < n; i++ {
 		nc := nic.New(eng, cfg.NIC, network.NodeID(i), fab)
