@@ -87,8 +87,9 @@ bench:
 	$(GO) run ./cmd/gputn-bench -exp perf -perf-preset full -bench-out BENCH_sim.json
 
 ## bench-smoke: the reduced perf run CI uses — times each experiment 3
-## times, compares the median against the committed BENCH_sim.json
-## baseline first (failing on >30% events/sec regression), then
+## times, compares it against the committed BENCH_sim.json baseline
+## first (failing on a changed event count, allocs/event up by more than
+## 0.02, or a median events/sec >30% below the baseline's), then
 ## overwrites it with the fresh smoke report.
 bench-smoke:
 	$(GO) run ./cmd/gputn-bench -exp perf -perf-preset smoke -bench-baseline BENCH_sim.json -bench-out BENCH_sim.json

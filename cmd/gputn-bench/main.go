@@ -646,8 +646,7 @@ func runners(cfg config.SystemConfig, opts options) map[string]func() error {
 				for _, r := range regressions {
 					fmt.Fprintln(os.Stderr, "perf regression:", r)
 				}
-				return fmt.Errorf("perf: %d experiment(s) regressed beyond %.0f%% vs %s",
-					len(regressions), perfTolerance*100, opts.benchBase)
+				return fmt.Errorf("perf: %d gate failure(s) vs %s", len(regressions), opts.benchBase)
 			}
 			return nil
 		},

@@ -49,28 +49,26 @@ type HelperThread struct {
 	served int64
 }
 
-// NewHelperThread starts the helper loop on a node. The thread runs for
-// the lifetime of the simulation, representing the permanently occupied
-// core the paper calls out as GHN's hidden cost.
+// NewHelperThread starts the helper on a node. It models the permanently
+// occupied core the paper calls out as GHN's hidden cost; the simulation
+// runs it only while requests are queued, since polling an empty queue
+// costs no simulated time.
 func NewHelperThread(nd *node.Node) *HelperThread {
 	h := &HelperThread{nd: nd, queue: sim.NewQueue[bounceRequest](nd.Eng)}
-	nd.Eng.Go(fmt.Sprintf("ghn.helper.%d", nd.Index), h.run)
+	h.queue.Serve(fmt.Sprintf("ghn.helper.%d", nd.Index), h.run)
 	return h
 }
 
 // Served reports how many requests the helper has processed.
 func (h *HelperThread) Served() int64 { return h.served }
 
-func (h *HelperThread) run(p *sim.Proc) {
-	for {
-		req := h.queue.Pop(p)
-		// Polling detection gap, then the CPU-side heavy lifting: command
-		// construction and the doorbell.
-		p.Sleep(HelperPollGap)
-		h.nd.CPU.SendProcessing(p)
-		h.nd.NIC.PostCommand(p, req.cmd)
-		h.served++
-	}
+// run serves one bounce-buffer request: the polling detection gap, then
+// the CPU-side heavy lifting, command construction and the doorbell.
+func (h *HelperThread) run(p *sim.Proc, req bounceRequest) {
+	p.Sleep(HelperPollGap)
+	h.nd.CPU.SendProcessing(p)
+	h.nd.NIC.PostCommand(p, req.cmd)
+	h.served++
 }
 
 // HandoffFromGPU is the kernel-side half of GHN: copy the payload into

@@ -269,15 +269,23 @@ func LoadPerfReport(path string) (*PerfReport, error) {
 	return &r, nil
 }
 
-// ComparePerf checks cur against base: every experiment present in both
-// must hold at least (1-tolerance) of the baseline events/sec, comparing
-// the median of each report's runs. Returns a
-// human-readable line per regression (empty = no regression). Experiments
-// present in only one report are skipped, so a smoke run compares cleanly
-// against a full baseline. Only like-for-like engine configurations
-// compare: a row measured at -shards 4 never gates against a serial
-// baseline row (or vice versa) — shard counts change the wall-clock
-// story without changing correctness.
+// perfAllocsMargin is the most a row's allocs/event may rise over its
+// baseline's before ComparePerf fails it. Like event counts, allocation
+// counts do not depend on host speed: repeated runs of a row agree to
+// about 1e-4 allocs/event.
+const perfAllocsMargin = 0.02
+
+// ComparePerf checks cur against base, row by row. Two gates are exact and
+// cannot flake on host speed: a row must fire exactly the baseline's
+// events per repetition (any change to the simulated work needs a
+// deliberate re-baseline), and its allocs/event may rise at most
+// perfAllocsMargin. The timing gate holds each row's median events/sec to
+// at least (1-tolerance) of the baseline's. Returns a human-readable line
+// per failure (empty = none). Experiments present in only one report are
+// skipped, so a smoke run compares cleanly against a full baseline. Only
+// like-for-like engine configurations compare: a row measured at
+// -shards 4 never gates against a serial baseline row (or vice versa) —
+// shard counts change the wall-clock story without changing correctness.
 func ComparePerf(cur, base *PerfReport, tolerance float64) []string {
 	baseline := map[string]PerfResult{}
 	for _, e := range base.Experiments {
@@ -286,11 +294,20 @@ func ComparePerf(cur, base *PerfReport, tolerance float64) []string {
 	var regressions []string
 	for _, e := range cur.Experiments {
 		b, ok := baseline[e.Name]
-		if !ok || b.EventsPerSec <= 0 || b.Shards != e.Shards {
+		if !ok || b.Shards != e.Shards {
 			continue
 		}
-		floor := b.EventsPerSec * (1 - tolerance)
-		if e.EventsPerSec < floor {
+		if e.Events != b.Events {
+			regressions = append(regressions,
+				fmt.Sprintf("%s: %d events per repetition, baseline %d (a changed event count needs a re-baseline)",
+					e.Name, e.Events, b.Events))
+		}
+		if limit := b.AllocsPerEvent + perfAllocsMargin; e.AllocsPerEvent > limit {
+			regressions = append(regressions,
+				fmt.Sprintf("%s: %.4f allocs/event > %.4f (baseline %.4f + %.2f margin)",
+					e.Name, e.AllocsPerEvent, limit, b.AllocsPerEvent, perfAllocsMargin))
+		}
+		if floor := b.EventsPerSec * (1 - tolerance); e.EventsPerSec < floor {
 			regressions = append(regressions,
 				fmt.Sprintf("%s: median %.0f events/sec over %d runs < %.0f (baseline %.0f - %.0f%% tolerance)",
 					e.Name, e.EventsPerSec, e.Runs, floor, b.EventsPerSec, tolerance*100))

@@ -156,15 +156,14 @@ type GPU struct {
 	// Reset: a restarted node's silicon is still throttled.
 	dilate func(now, d sim.Time) sim.Time
 
-	// frontendProc and live track the scheduler process and in-flight
-	// work-group processes so a node crash can take them all down.
-	frontendProc *sim.Proc
-	live         []*sim.Proc
+	// live tracks the in-flight work-group processes so a node crash can
+	// take them all down (the front-end is the kernel queue's server).
+	live []*sim.Proc
 
 	kernelsLaunched int64
 }
 
-// New creates a GPU and starts its front-end scheduler.
+// New creates a GPU whose front-end scheduler serves its kernel queue.
 func New(eng *sim.Engine, cfg config.GPUConfig, mem *memsys.Hierarchy) *GPU {
 	slots := cfg.ComputeUnits * cfg.MaxWGPerCU
 	if slots <= 0 {
@@ -177,18 +176,17 @@ func New(eng *sim.Engine, cfg config.GPUConfig, mem *memsys.Hierarchy) *GPU {
 		slots: sim.NewResource(eng, int64(slots)),
 		queue: sim.NewQueue[*Kernel](eng),
 	}
-	g.frontendProc = eng.Go("gpu.frontend", g.frontend)
+	g.queue.Serve("gpu.frontend", g.frontend)
 	return g
 }
 
 // Reset models the GPU side of a node crash: every in-flight work-group
-// process and the front-end scheduler are killed (in-flight kernels are
-// lost, never completing), the kernel queue is cleared, and a fresh
-// front-end starts so the restarted node can launch kernels again.
-// Work-group slots held by killed processes are released by their deferred
-// cleanup, so the CU pool comes back whole.
+// process and a busy front-end scheduler are killed (in-flight kernels are
+// lost, never completing) and the kernel queue is cleared; the next launch
+// starts a fresh front-end. Work-group slots held by killed processes are
+// released by their deferred cleanup, so the CU pool comes back whole.
 func (g *GPU) Reset() {
-	g.eng.Kill(g.frontendProc)
+	g.queue.KillServer()
 	for _, p := range g.live {
 		g.eng.Kill(p)
 	}
@@ -198,7 +196,6 @@ func (g *GPU) Reset() {
 			break
 		}
 	}
-	g.frontendProc = g.eng.Go("gpu.frontend", g.frontend)
 }
 
 // track records a live work-group process, compacting dead entries so
@@ -279,50 +276,45 @@ func (g *GPU) LaunchSync(p *sim.Proc, k *Kernel) {
 	k.Wait(p)
 }
 
-// frontend is the hardware scheduler: it pops kernel commands, pays the
-// launch latency, runs all work-groups on the CU pool, pays teardown, and
-// signals completion.
-func (g *GPU) frontend(p *sim.Proc) {
-	for {
-		k := g.queue.Pop(p)
-		// Queue depth seen by the scheduler includes the popped command.
-		depth := g.queue.Len() + 1
-		launch := g.cfg.KernelLaunch
-		if g.launchModel != nil {
-			launch = g.launchModel(depth)
-		}
-		p.Sleep(launch)
-		g.kernelsLaunched++
-
-		wgDone := sim.NewCounter(g.eng)
-		if k.Body != nil {
-			for wg := 0; wg < k.WorkGroups; wg++ {
-				wg := wg
-				kk := k
-				// Per-work-group names only matter to trace output and
-				// hang diagnostics; untraced runs share the kernel name
-				// instead of paying a Sprintf per work-group.
-				name := k.Name
-				if g.eng.Trace != nil {
-					name = fmt.Sprintf("gpu.%s.wg%d", k.Name, wg)
-				}
-				g.track(g.eng.Go(name, func(wp *sim.Proc) {
-					g.slots.Acquire(wp, 1)
-					defer g.slots.Release(1)
-					ctx := &WGCtx{gpu: g, p: wp, Group: wg, NumGroups: kk.WorkGroups, WGSize: kk.WGSize}
-					kk.Body(ctx)
-					ctx.Sync()
-					wgDone.Add(1)
-				}))
-			}
-			wgDone.WaitGE(p, int64(k.WorkGroups))
-		}
-		p.Sleep(g.cfg.KernelTeardown)
-		if k.OnComplete != nil {
-			k.OnComplete()
-		}
-		k.done.Add(1)
+// frontend is the hardware scheduler, serving one kernel command: it pays
+// the launch latency, runs all work-groups on the CU pool, pays teardown,
+// and signals completion.
+func (g *GPU) frontend(p *sim.Proc, k *Kernel) {
+	// Queue depth seen by the scheduler includes the popped command.
+	depth := g.queue.Len() + 1
+	launch := g.cfg.KernelLaunch
+	if g.launchModel != nil {
+		launch = g.launchModel(depth)
 	}
+	p.Sleep(launch)
+	g.kernelsLaunched++
+
+	wgDone := sim.NewCounter(g.eng)
+	if k.Body != nil {
+		for wg := 0; wg < k.WorkGroups; wg++ {
+			// Per-work-group names only matter to trace output and
+			// hang diagnostics; untraced runs share the kernel name
+			// instead of paying a Sprintf per work-group.
+			name := k.Name
+			if g.eng.Trace != nil {
+				name = fmt.Sprintf("gpu.%s.wg%d", k.Name, wg)
+			}
+			g.track(g.eng.Go(name, func(wp *sim.Proc) {
+				g.slots.Acquire(wp, 1)
+				defer g.slots.Release(1)
+				ctx := &WGCtx{gpu: g, p: wp, Group: wg, NumGroups: k.WorkGroups, WGSize: k.WGSize}
+				k.Body(ctx)
+				ctx.Sync()
+				wgDone.Add(1)
+			}))
+		}
+		wgDone.WaitGE(p, int64(k.WorkGroups))
+	}
+	p.Sleep(g.cfg.KernelTeardown)
+	if k.OnComplete != nil {
+		k.OnComplete()
+	}
+	k.done.Add(1)
 }
 
 // ComputeTime estimates the time for one work-group to execute the given

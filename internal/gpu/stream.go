@@ -36,7 +36,7 @@ func (g *GPU) NewStream(name string) *Stream {
 		ops:  sim.NewQueue[streamOp](g.eng),
 		idle: sim.NewCounter(g.eng),
 	}
-	g.eng.Go(fmt.Sprintf("gpu.stream.%s", name), s.run)
+	s.ops.Serve(fmt.Sprintf("gpu.stream.%s", name), s.run)
 	return s
 }
 
@@ -68,20 +68,18 @@ func (s *Stream) Sync(p *sim.Proc) {
 	s.idle.WaitGE(p, s.nops)
 }
 
-func (s *Stream) run(p *sim.Proc) {
-	for {
-		op := s.ops.Pop(p)
-		switch op.kind {
-		case "kernel":
-			s.gpu.Launch(op.kernel)
-			op.kernel.Wait(p)
-		case "doorbell":
-			op.doorbell()
-		case "wait":
-			op.waitCtr.WaitGE(p, op.waitTgt)
-		default:
-			panic(fmt.Sprintf("gpu: unknown stream op %q", op.kind))
-		}
-		s.idle.Add(1)
+// run executes one stream operation on the stream's queue server.
+func (s *Stream) run(p *sim.Proc, op streamOp) {
+	switch op.kind {
+	case "kernel":
+		s.gpu.Launch(op.kernel)
+		op.kernel.Wait(p)
+	case "doorbell":
+		op.doorbell()
+	case "wait":
+		op.waitCtr.WaitGE(p, op.waitTgt)
+	default:
+		panic(fmt.Sprintf("gpu: unknown stream op %q", op.kind))
 	}
+	s.idle.Add(1)
 }

@@ -264,8 +264,8 @@ func New(eng *sim.Engine, cfg config.NetworkConfig, n int) *Fabric {
 	for i := range f.aliveCore {
 		f.aliveCore[i] = true
 	}
-	mk := func(post sim.Time, owner int) *stage {
-		s := &stage{eng: eng, gbps: cfg.BandwidthGbps, post: post, owner: owner}
+	mk := func(s *stage, post sim.Time, owner int) *stage {
+		*s = stage{eng: eng, gbps: cfg.BandwidthGbps, post: post, owner: owner}
 		if owner >= 0 {
 			s.credits = topo.QueueCredits
 			s.ecnThresh = topo.ECNThreshold
@@ -274,41 +274,40 @@ func New(eng *sim.Engine, cfg config.NetworkConfig, n int) *Fabric {
 		return s
 	}
 	hop := cfg.LinkLatency + cfg.SwitchLatency
+	nodePorts := make([]stage, 2*n)
+	f.egress, f.ingress = make([]*stage, n), make([]*stage, n)
 	for i := 0; i < n; i++ {
 		// Node-to-leaf: the sender's own port — unbounded (the source
 		// buffer), fault injection point, owned by no switch.
-		eg := mk(hop, -1)
-		eg.faultPoint = true
-		f.egress = append(f.egress, eg)
+		f.egress[i] = mk(&nodePorts[2*i], hop, -1)
+		f.egress[i].faultPoint = true
 		// Leaf-to-node: propagation only, owned by the node's leaf.
-		f.ingress = append(f.ingress, mk(cfg.LinkLatency, f.leafSwitch(topo.LeafOf(i))))
+		f.ingress[i] = mk(&nodePorts[2*i+1], cfg.LinkLatency, f.leafSwitch(topo.LeafOf(i)))
 	}
-	for l := 0; l < nleaves; l++ {
-		ports := make([]*stage, topo.Spines)
-		for s := range ports {
-			ports[s] = mk(hop, f.leafSwitch(l))
-		}
-		f.leafUp = append(f.leafUp, ports)
+	if cfg.Topology != config.TopologyFatTree {
+		// The star's one leaf switches every route itself, and
+		// config.Validate rejects switch events off the fat-tree, so no
+		// switch-to-switch port would ever be used.
+		return f
 	}
-	for g := 0; g < f.nspines; g++ {
-		down := make([]*stage, topo.PodLeaves)
-		for l := range down {
-			down[l] = mk(hop, f.spineSwitch(g))
+	// tier carves one switch tier's rows×cols ports, row r owned by switch
+	// owner(r), from one backing array.
+	tier := func(rows, cols int, owner func(int) int) [][]*stage {
+		ports := make([]stage, rows*cols)
+		ptrs := make([]*stage, rows*cols)
+		out := make([][]*stage, rows)
+		for r := range out {
+			out[r] = ptrs[r*cols : (r+1)*cols : (r+1)*cols]
+			for c := range out[r] {
+				out[r][c] = mk(&ports[r*cols+c], hop, owner(r))
+			}
 		}
-		f.spineDown = append(f.spineDown, down)
-		up := make([]*stage, f.ncores)
-		for c := range up {
-			up[c] = mk(hop, f.spineSwitch(g))
-		}
-		f.spineUp = append(f.spineUp, up)
+		return out
 	}
-	for c := 0; c < f.ncores; c++ {
-		down := make([]*stage, f.nspines)
-		for g := range down {
-			down[g] = mk(hop, f.coreSwitch(c))
-		}
-		f.coreDown = append(f.coreDown, down)
-	}
+	f.leafUp = tier(nleaves, topo.Spines, f.leafSwitch)
+	f.spineDown = tier(f.nspines, topo.PodLeaves, f.spineSwitch)
+	f.spineUp = tier(f.nspines, f.ncores, f.spineSwitch)
+	f.coreDown = tier(f.ncores, f.nspines, f.coreSwitch)
 	return f
 }
 

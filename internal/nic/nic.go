@@ -379,6 +379,17 @@ type NIC struct {
 
 	cmdQ     *sim.Queue[*Command]
 	trigFIFO *sim.Queue[DynamicWrite]
+	// The trigger pipeline runs on plain events (see trigStart): trigBusy
+	// is set while a trigStart is scheduled or a write is being matched,
+	// and trigW/trigEp hold that write and the incarnation it was popped
+	// under. trigStartFn and trigDoneFn are the pipeline's two callbacks,
+	// bound once; trigLane is its event lane.
+	trigBusy    bool
+	trigW       DynamicWrite
+	trigEp      int64
+	trigStartFn func()
+	trigDoneFn  func()
+	trigLane    uint32
 	// trigFree recycles the in-flight records of MMIO trigger writes.
 	trigFree []*trigFlight
 	entries  []*triggerEntry
@@ -433,8 +444,8 @@ type NIC struct {
 	stats Stats
 }
 
-// New creates a NIC bound to a fabric port and starts its internal
-// command and trigger pipelines.
+// New creates a NIC bound to a fabric port with its command and trigger
+// pipelines idle; both run only while they have work queued.
 func New(eng *sim.Engine, cfg config.NICConfig, id network.NodeID, fabric *network.Fabric) *NIC {
 	n := &NIC{
 		eng:      eng,
@@ -451,8 +462,8 @@ func New(eng *sim.Engine, cfg config.NICConfig, id network.NodeID, fabric *netwo
 		n.rel = newReliability(n, cfg.Reliability)
 	}
 	fabric.Bind(id, n.deliver)
-	eng.Go(fmt.Sprintf("nic.%d.cmd", id), n.runCommands)
-	eng.Go(fmt.Sprintf("nic.%d.trig", id), n.runTriggers)
+	n.cmdQ.Serve(fmt.Sprintf("nic.%d.cmd", id), n.runCommand)
+	n.trigStartFn, n.trigDoneFn, n.trigLane = n.trigStart, n.trigDone, eng.Lane()
 	return n
 }
 
@@ -716,6 +727,10 @@ func (n *NIC) landTrigger(f *trigFlight) {
 		return
 	}
 	n.trigFIFO.Push(w)
+	if !n.trigBusy {
+		n.trigBusy = true
+		n.eng.AfterLane(0, n.trigLane, n.trigStartFn)
+	}
 	if hw := int64(n.trigFIFO.Len()); hw > n.stats.TrigFIFOHighWater {
 		n.stats.TrigFIFOHighWater = hw
 	}
@@ -816,51 +831,76 @@ func (n *NIC) findEntry(tag uint64) *triggerEntry {
 	return nil
 }
 
-// runTriggers is the trigger-list pipeline: pop tag writes from the FIFO,
-// match, count, and fire (Figure 4 steps 3-4).
-func (n *NIC) runTriggers(p *sim.Proc) {
-	for {
-		w := n.trigFIFO.Pop(p)
-		ep := n.inc
-		pos := len(n.entries)
-		for i, e := range n.entries {
-			if e.tag == w.Tag {
-				pos = i
-				break
-			}
+// The trigger-list pipeline (Figure 4 steps 3-4) matches one buffered tag
+// write at a time: trigStart pops a write and pays the list's match
+// latency, and trigDone counts or fires it, then starts the next write or
+// leaves the pipeline idle until landTrigger buffers another. A hardware
+// pipeline keeps no context between writes, so it runs on two plain
+// events per write rather than a process.
+
+// trigStart pops the next buffered write and schedules its match.
+func (n *NIC) trigStart() {
+	w, ok := n.trigFIFO.TryPop()
+	if !ok {
+		// A crash emptied the FIFO before this dispatch ran.
+		n.trigBusy = false
+		return
+	}
+	n.trigW, n.trigEp = w, n.inc
+	pos := len(n.entries)
+	for i, e := range n.entries {
+		if e.tag == w.Tag {
+			pos = i
+			break
 		}
-		p.Sleep(n.lookup.MatchLatency(len(n.entries), pos))
-		if n.fenced(ep) {
-			// Crash landed between pop and match: the write dies with the
-			// incarnation that buffered it.
-			n.stats.FencedTriggers++
-			continue
+	}
+	n.eng.After(n.lookup.MatchLatency(len(n.entries), pos), n.trigDoneFn)
+}
+
+// trigDone finishes the matched write, then moves on to the next one.
+func (n *NIC) trigDone() {
+	n.matchTrigger(n.trigW, n.trigEp)
+	if n.trigFIFO.Len() > 0 {
+		n.trigStart()
+		return
+	}
+	n.trigBusy = false
+}
+
+// matchTrigger applies one matched write popped under incarnation ep:
+// count it against its entry and fire the entry at threshold, or allocate
+// a relaxed-sync placeholder.
+func (n *NIC) matchTrigger(w DynamicWrite, ep int64) {
+	if n.fenced(ep) {
+		// Crash landed between pop and match: the write dies with the
+		// incarnation that buffered it.
+		n.stats.FencedTriggers++
+		return
+	}
+	e := n.findEntry(w.Tag)
+	if e == nil {
+		// Relaxed synchronization: allocate a placeholder (§3.2),
+		// subject to the shared list capacity and, when configured,
+		// the dedicated placeholder budget.
+		if n.activeEntries() >= n.capTriggers() {
+			n.stats.DroppedTriggers++
+			return
 		}
-		e := n.findEntry(w.Tag)
-		if e == nil {
-			// Relaxed synchronization: allocate a placeholder (§3.2),
-			// subject to the shared list capacity and, when configured,
-			// the dedicated placeholder budget.
-			if n.activeEntries() >= n.capTriggers() {
-				n.stats.DroppedTriggers++
-				continue
-			}
-			if pc := n.capPlaceholders(); pc > 0 && n.activePlaceholders() >= pc {
-				n.stats.DroppedTriggers++
-				continue
-			}
-			e = &triggerEntry{tag: w.Tag, counter: 1, regSeq: n.nextRegSeq()}
-			n.entries = append(n.entries, e)
-			n.stats.PlaceholdersMade++
-			n.noteTriggerWater()
-			e.mergeOverrides(w)
-			continue
+		if pc := n.capPlaceholders(); pc > 0 && n.activePlaceholders() >= pc {
+			n.stats.DroppedTriggers++
+			return
 		}
-		e.counter++
+		e = &triggerEntry{tag: w.Tag, counter: 1, regSeq: n.nextRegSeq()}
+		n.entries = append(n.entries, e)
+		n.stats.PlaceholdersMade++
+		n.noteTriggerWater()
 		e.mergeOverrides(w)
-		if e.hasOp && !e.fired && e.counter >= e.threshold {
-			n.fire(e)
-		}
+		return
+	}
+	e.counter++
+	e.mergeOverrides(w)
+	if e.hasOp && !e.fired && e.counter >= e.threshold {
+		n.fire(e)
 	}
 }
 
@@ -911,47 +951,45 @@ func (n *NIC) fire(e *triggerEntry) {
 	}
 }
 
-// runCommands executes staged commands: parse, DMA the payload, inject
-// into the fabric, and signal local completion.
-func (n *NIC) runCommands(p *sim.Proc) {
-	for {
-		c := n.cmdQ.Pop(p)
-		ep := n.inc
-		n.admitPending()
-		if d := n.inj.CommandStall(int(n.id)); d > 0 {
-			p.Sleep(d)
-		}
-		parse := n.cfg.CommandLatency
-		if slow := n.inj.Slow(); slow != nil {
-			stretched, stall := slow.CommandSlow(n.eng.Now(), int(n.id), parse)
-			if stretched > parse {
-				n.stats.SlowCmdStretched++
-			}
-			if stall > 0 {
-				n.stats.SlowCmdStalls++
-				p.Sleep(stall)
-			}
-			parse = stretched
-		}
-		p.Sleep(parse)
-		if n.fenced(ep) {
-			// The node crashed while this command was being parsed: it is
-			// abandoned, never reaching the fabric.
-			n.stats.FencedCommands++
-			continue
-		}
-		switch c.Kind {
-		case OpPut:
-			n.execPut(p, c, ep)
-		case OpGet:
-			n.execGet(p, c, ep)
-		case OpAtomic, OpFetchAtomic:
-			n.execAtomic(p, c, ep)
-		default:
-			panic(fmt.Sprintf("nic: unknown op kind %v", c.Kind))
-		}
-		n.stats.CommandsExecuted++
+// runCommand executes one staged command on the command queue's server:
+// parse, DMA the payload, inject into the fabric, and signal local
+// completion.
+func (n *NIC) runCommand(p *sim.Proc, c *Command) {
+	ep := n.inc
+	n.admitPending()
+	if d := n.inj.CommandStall(int(n.id)); d > 0 {
+		p.Sleep(d)
 	}
+	parse := n.cfg.CommandLatency
+	if slow := n.inj.Slow(); slow != nil {
+		stretched, stall := slow.CommandSlow(n.eng.Now(), int(n.id), parse)
+		if stretched > parse {
+			n.stats.SlowCmdStretched++
+		}
+		if stall > 0 {
+			n.stats.SlowCmdStalls++
+			p.Sleep(stall)
+		}
+		parse = stretched
+	}
+	p.Sleep(parse)
+	if n.fenced(ep) {
+		// The node crashed while this command was being parsed: it is
+		// abandoned, never reaching the fabric.
+		n.stats.FencedCommands++
+		return
+	}
+	switch c.Kind {
+	case OpPut:
+		n.execPut(p, c, ep)
+	case OpGet:
+		n.execGet(p, c, ep)
+	case OpAtomic, OpFetchAtomic:
+		n.execAtomic(p, c, ep)
+	default:
+		panic(fmt.Sprintf("nic: unknown op kind %v", c.Kind))
+	}
+	n.stats.CommandsExecuted++
 }
 
 // dmaTime prices one DMA transfer of size bytes, stretched by any armed

@@ -24,7 +24,6 @@ import (
 type Node struct {
 	Index int
 	Eng   *sim.Engine
-	Cfg   config.SystemConfig
 	// Lane is the node's event lane: Index+1, with 0 reserved as the
 	// ambient lane. Every event the node's processes schedule carries it,
 	// so the node's event order is the same on any engine count.
@@ -244,7 +243,6 @@ func NewCluster(cfg config.SystemConfig, n int) *Cluster {
 			Index:   i,
 			Eng:     e,
 			Lane:    laneOf(i),
-			Cfg:     cfg,
 			CPU:     cpu.New(e, cfg.CPU, hostMem),
 			GPU:     gpu.New(e, cfg.GPU, gpuMem),
 			NIC:     nc,

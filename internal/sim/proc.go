@@ -17,6 +17,11 @@ import (
 // Signal.Wait, Queue.Pop, ...). While parked it consumes no simulated time
 // beyond what the wakeup condition implies.
 //
+// A queue server (Queue.Serve) is a process whose body drains its queue
+// and returns. It then goes idle rather than dead: it keeps its place in
+// the engine's process list but holds no coroutine, and the queue's next
+// Push dispatches it again from the top.
+//
 // Model code must not recover() the kill sentinel: Engine.Kill unwinds a
 // parked process by panicking with it, and a process that swallowed it
 // would keep running after its node crashed.
@@ -25,9 +30,13 @@ type Proc struct {
 	name string
 	// fn is the process body and co the coroutine running it, assigned at
 	// first dispatch. Both are dropped when the process exits so a dead
-	// process retains none of its closures.
+	// process retains none of its closures; an idle server keeps fn and
+	// drops co.
 	fn func(p *Proc)
 	co *coro
+	// server marks a queue server; idle is set while it has no coroutine
+	// and no dispatch pending (its queue is drained).
+	server, idle bool
 	// panicked holds a model panic recovered at the coroutine boundary,
 	// re-raised on the engine's goroutine once onExit has run.
 	panicked any
@@ -59,8 +68,9 @@ type Proc struct {
 }
 
 // coro is a process coroutine. It outlives the process it runs: when a
-// body returns, the coroutine goes back on its engine's idle list and runs
-// the next process dispatched for the first time. A new iter.Pull costs a
+// body returns (a process exits, or a queue server drains its queue and
+// goes idle), the coroutine goes back on its engine's idle list and runs
+// the next process dispatched without one. A new iter.Pull costs a
 // goroutine and about a dozen allocations, and under the race detector an
 // exited coroutine's detector state is never freed (Go 1.24's coroexit
 // skips racegoend), so reuse keeps both costs per peak process count, not
@@ -130,6 +140,14 @@ func (e *Engine) GoLane(lane uint32, name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
+// newServer registers an idle queue server in spawn order. It has no
+// coroutine and schedules nothing until its queue's next Push.
+func (e *Engine) newServer(lane uint32, name string, fn func(p *Proc)) *Proc {
+	p := &Proc{eng: e, name: name, fn: fn, lane: lane, server: true, idle: true}
+	e.addProc(p)
+	return p
+}
+
 // addProc records p in spawn order for the watchdog. Dead processes are
 // compacted out once the slice has doubled since the last compaction, so
 // the table stays proportional to the live population however many
@@ -188,8 +206,10 @@ func (p *Proc) sleep0Lbl() string {
 
 // dispatch resumes p and blocks the engine until p parks or terminates.
 // It must only be called from the event loop (an event callback). The
-// process gets its coroutine here, at first dispatch; a process killed
-// before that never gets one and just runs its onExit callbacks.
+// process gets its coroutine here, at first dispatch (a server, at each
+// dispatch after it went idle); a process killed before that never gets
+// one and just runs its onExit callbacks. A server whose body returned
+// goes idle instead of exiting.
 func (e *Engine) dispatch(p *Proc) {
 	if p.dead {
 		return
@@ -204,6 +224,10 @@ func (e *Engine) dispatch(p *Proc) {
 			return // parked
 		}
 		e.idle = append(e.idle, c)
+		if p.server && !p.killed && p.panicked == nil {
+			p.co, p.idle = nil, true
+			return
+		}
 	}
 	p.exit()
 }

@@ -130,7 +130,9 @@ func (c *Counter) WaitGEUntil(p *Proc, target int64, deadline Time) bool {
 }
 
 // Queue is an unbounded FIFO connecting producers and consumers.
-// Push never blocks; Pop parks until an item is available.
+// Push never blocks. A queue is consumed either by processes calling Pop,
+// which parks while the queue is empty, or by one server process (Serve)
+// that runs only while items are queued.
 type Queue[T any] struct {
 	eng *Engine
 	// buf is a ring holding the n queued items from buf[head] on, so a
@@ -139,6 +141,10 @@ type Queue[T any] struct {
 	buf     []T
 	head, n int
 	waiters []*Proc
+	// srv is the queue's server (nil on a Pop-consumed queue) and drain
+	// its body, bound once so re-arming the server allocates nothing.
+	srv   *Proc
+	drain func(p *Proc)
 }
 
 // NewQueue creates a Queue bound to e.
@@ -147,10 +153,57 @@ func NewQueue[T any](e *Engine) *Queue[T] { return &Queue[T]{eng: e} }
 // Len reports the number of queued items.
 func (q *Queue[T]) Len() int { return q.n }
 
-// Push appends v and wakes one waiting consumer, if any. Waiters killed
-// while parked (a crashed node's service loops) are skipped and discarded —
-// waking one would consume the wakeup without consuming the item, leaving
-// live consumers parked forever behind a dead one.
+// Serve gives the queue one server process, which calls fn for each item
+// in FIFO order. The server is registered now, in spawn order and on the
+// engine's current lane, but it has no coroutine and schedules nothing:
+// a Push to an idle server schedules its dispatch at the current time (the
+// same single event that wakes a consumer parked in Pop), and the server
+// runs until the queue is empty, then goes idle again. fn may park. A
+// served queue has no other consumer: Pop panics on it.
+func (q *Queue[T]) Serve(name string, fn func(p *Proc, v T)) {
+	if q.srv != nil || len(q.waiters) > 0 {
+		panic("sim: Queue.Serve on a queue that already has a consumer")
+	}
+	q.drain = func(p *Proc) {
+		for q.n > 0 {
+			fn(p, q.take())
+		}
+	}
+	q.srv = q.eng.newServer(q.eng.curLane, name, q.drain)
+	if q.n > 0 {
+		q.arm()
+	}
+}
+
+// KillServer condemns the queue's server if it is busy, i.e. running or
+// parked mid-item: it unwinds like any killed process (Engine.Kill), and
+// the next Push starts a fresh server under the same name and lane. An
+// idle or merely armed server has nothing to unwind and is left alone.
+// It models a crash taking down a hardware pipeline mid-command.
+func (q *Queue[T]) KillServer() {
+	if s := q.srv; s != nil && s.co != nil {
+		q.eng.Kill(s)
+	}
+}
+
+// arm dispatches an idle server, replacing a killed one first.
+func (q *Queue[T]) arm() {
+	s := q.srv
+	if s.Dead() {
+		s = q.eng.newServer(s.lane, s.name, q.drain)
+		q.srv = s
+	}
+	if s.idle {
+		s.idle = false
+		s.wake("queue")
+	}
+}
+
+// Push appends v and starts the queue's server if it is idle, or else wakes
+// one consumer parked in Pop, if any. Pop consumers killed while parked (a
+// crashed node's processes) are skipped and discarded — waking one would
+// consume the wakeup without consuming the item, leaving live consumers
+// parked forever behind a dead one.
 func (q *Queue[T]) Push(v T) {
 	if q.n == len(q.buf) {
 		grown := make([]T, max(1, 2*len(q.buf)))
@@ -160,6 +213,10 @@ func (q *Queue[T]) Push(v T) {
 	}
 	q.buf[(q.head+q.n)%len(q.buf)] = v
 	q.n++
+	if q.srv != nil {
+		q.arm()
+		return
+	}
 	for len(q.waiters) > 0 {
 		w := q.waiters[0]
 		k := copy(q.waiters, q.waiters[1:])
@@ -176,6 +233,9 @@ func (q *Queue[T]) Push(v T) {
 // Pop removes and returns the head item, parking p while the queue is
 // empty. Consumers are served FIFO.
 func (q *Queue[T]) Pop(p *Proc) T {
+	if q.srv != nil {
+		panic("sim: Queue.Pop on a served queue")
+	}
 	for q.n == 0 {
 		q.waiters = append(q.waiters, p)
 		p.park()

@@ -42,8 +42,8 @@ func TestBlockedWaitersClearedOnWake(t *testing.T) {
 	}
 }
 
-// Idle service loops parked on empty queues (NIC pipelines, GPU front-end)
-// are normal at quiescence and must not pollute a diagnosis.
+// A consumer parked in Pop on an empty queue is normal at quiescence and
+// must not pollute a diagnosis (idle queue servers: serve_test.go).
 func TestBlockedWaitersIgnoresQueueConsumers(t *testing.T) {
 	eng := NewEngine()
 	q := NewQueue[int](eng)
