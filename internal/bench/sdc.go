@@ -114,6 +114,8 @@ func sdcSchedule(class string, rate float64) config.SDCConfig {
 // class must heal by NACK/retransmit without membership churn.
 func AblationSDC(cfg config.SystemConfig, rates []float64) []SDCPoint {
 	cells := len(rates)*2 + 1
+	// Shared read-only by every cell: corruption hits the rank's copy.
+	data, want := sdcInputs(sdcAblationNodes, sdcAblationElems, sdcAblationSeed)
 	return parallelMap(cells, func(idx int) SDCPoint {
 		class, rate := "reducer", 0.0
 		if idx < len(rates)*2 {
@@ -122,7 +124,6 @@ func AblationSDC(cfg config.SystemConfig, rates []float64) []SDCPoint {
 		}
 		pt := SDCPoint{Class: class, Rate: rate}
 		sdc := sdcSchedule(class, rate)
-		data, want := sdcInputs(sdcAblationNodes, sdcAblationElems, sdcAblationSeed)
 
 		// Unverified arm: reliability on (the production transport) but no
 		// e2e checksum and no claim chain — every injected corruption that
@@ -236,9 +237,9 @@ func AblationE2EOverhead(cfg config.SystemConfig) []E2EOverheadPoint {
 	if lat <= 0 {
 		lat = sdcE2ELatency
 	}
+	data, _ := sdcInputs(sdcAblationNodes, sdcAblationElems, sdcAblationSeed)
 	return parallelMap(len(kinds), func(idx int) E2EOverheadPoint {
 		k := kinds[idx]
-		data, _ := sdcInputs(sdcAblationNodes, sdcAblationElems, sdcAblationSeed)
 		run := func(e2e bool) sim.Time {
 			c := cfg
 			c.Faults = config.FaultConfig{}

@@ -135,12 +135,14 @@ func AblationStraggler(cfg config.SystemConfig, factors []float64) []StragglerPo
 	kinds := backends.All()
 	classes := []string{"gpu", "cmd", "dma"}
 	perKind := len(classes) * len(factors)
+	// Every cell reads the same inputs; the collectives copy them into
+	// rank-owned vectors, so the cells share them read-only.
+	data, want := sdcInputs(slowAblationNodes, slowAblationElems, slowAblationSeed)
 	return parallelMap(len(kinds)*perKind, func(idx int) StragglerPoint {
 		kind := kinds[idx/perKind]
 		class := classes[(idx%perKind)/len(factors)]
 		factor := factors[(idx%perKind)%len(factors)]
 		pt := StragglerPoint{Kind: kind, Class: class, Factor: factor}
-		data, want := sdcInputs(slowAblationNodes, slowAblationElems, slowAblationSeed)
 
 		plain := func(slow config.SlowConfig) sim.Time {
 			c := cfg

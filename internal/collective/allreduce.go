@@ -654,7 +654,7 @@ func runHDNRank(p *sim.Proc, st *rankState) error {
 func runGDSRank(p *sim.Proc, st *rankState) error {
 	stream := st.nd.GPU.NewStream(fmt.Sprintf("gds.%d", st.nd.Index))
 	for _, r := range st.rounds {
-		md := st.nd.Ptl.MDBind(fmt.Sprintf("gds.%d", r.Step), st.chunk, st.sendPayload(r), nil)
+		md := st.nd.Ptl.MDBind("gds", st.chunk, st.sendPayload(r), nil)
 		ring := backends.PrePost(p, st.nd, md, st.chunk, st.right(), st.mb)
 		stream.EnqueueDoorbell(ring)
 		stream.EnqueueWait(st.recvCT.Raw(), int64(r.Step)+1)
@@ -720,7 +720,7 @@ func runGPUTNRank(p *sim.Proc, st *rankState) error {
 	// aborted kernel will never trigger the remaining puts).
 	register := func(step int) error {
 		r := rounds[step]
-		md := st.nd.Ptl.MDBind(fmt.Sprintf("tn.%d", step), st.chunk, st.sendPayload(r), comp.CT)
+		md := st.nd.Ptl.MDBind("tn", st.chunk, st.sendPayload(r), comp.CT)
 		// Pressure-aware registration: a full trigger list stalls the host
 		// until an outstanding put fires and frees a slot, instead of
 		// failing the collective outright.

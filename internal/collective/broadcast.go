@@ -311,7 +311,7 @@ func (st *bcastState) runRoot(p *sim.Proc, segs, next int) error {
 	case backends.GDS:
 		stream := st.nd.GPU.NewStream(fmt.Sprintf("gds.bcast.%d", st.nd.Index))
 		for s := 0; s < segs; s++ {
-			md := st.nd.Ptl.MDBind(fmt.Sprintf("bcast.%d", s), st.segBytes(s), st.segPayload(s), nil)
+			md := st.nd.Ptl.MDBind("bcast.seg", st.segBytes(s), st.segPayload(s), nil)
 			stream.EnqueueDoorbell(backends.PrePost(p, st.nd, md, st.segBytes(s), next, bcastMatchBits))
 		}
 		stream.Sync(p)
@@ -339,7 +339,7 @@ func (st *bcastState) runForwarder(p *sim.Proc, segs, next int) error {
 	case backends.GDS:
 		stream := st.nd.GPU.NewStream(fmt.Sprintf("gds.bcast.%d", st.nd.Index))
 		for s := 0; s < segs; s++ {
-			md := st.nd.Ptl.MDBind(fmt.Sprintf("bcast.%d", s), st.segBytes(s), st.segPayload(s), nil)
+			md := st.nd.Ptl.MDBind("bcast.seg", st.segBytes(s), st.segPayload(s), nil)
 			ring := backends.PrePost(p, st.nd, md, st.segBytes(s), next, bcastMatchBits)
 			stream.EnqueueWait(st.recvCT.Raw(), int64(s)+1)
 			stream.EnqueueDoorbell(ring)
@@ -379,7 +379,7 @@ func (st *bcastState) gputnSend(p *sim.Proc, segs, next int, gate *portals.CT) e
 	host.LaunchKern(kern)
 
 	register := func(s int) {
-		md := st.nd.Ptl.MDBind(fmt.Sprintf("tn.bcast.%d", s), st.segBytes(s), st.segPayload(s), comp.CT)
+		md := st.nd.Ptl.MDBind("tn.bcast", st.segBytes(s), st.segPayload(s), comp.CT)
 		if err := host.TrigPut(p, uint64(s)+1, 1, md, st.segBytes(s), next, bcastMatchBits); err != nil {
 			panic(fmt.Sprintf("collective: broadcast rank %d seg %d: %v", st.nd.Index, s, err))
 		}

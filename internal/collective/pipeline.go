@@ -98,8 +98,7 @@ func runGPUTNPipelined(p *sim.Proc, st *rankState, ways int) {
 		r := rounds[step]
 		for w := 0; w < ways; w++ {
 			bytes := sliceBytes(r, w)
-			md := st.nd.Ptl.MDBind(fmt.Sprintf("pipe.%d.%d", step, w), bytes,
-				st.pipePayload(r, w, ways), comp.CT)
+			md := st.nd.Ptl.MDBind("pipe", bytes, st.pipePayload(r, w, ways), comp.CT)
 			if err := host.TrigPut(p, st.tagBase+pipeTag(step, w, ways), 1, md, bytes, st.right(), st.mb); err != nil {
 				panic(fmt.Sprintf("collective: pipelined rank %d step %d slice %d: %v", st.nd.Index, step, w, err))
 			}

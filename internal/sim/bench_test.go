@@ -88,3 +88,44 @@ func BenchmarkProcSpawn(b *testing.B) {
 	b.ResetTimer()
 	e.Run()
 }
+
+// BenchmarkFanOutSleep measures the work-group fan-out shape: one Counter
+// wakes 64 processes, each sleeps the same lag and then schedules an event
+// at the same offset, like a kernel's work-groups each posting a trigger
+// write. Each burst shares one birth, so it rides a same-birth run. A
+// standing backlog of 512 far-future events gives the heap the depth of a
+// 16-node ring Allreduce (mean heap size 485). One op is one round of the
+// fan-out; ns/event divides by every event fired.
+func BenchmarkFanOutSleep(b *testing.B) {
+	const width = 64
+	e := NewEngine()
+	ct := NewCounter(e)
+	fn := func() {}
+	for i := 0; i < 512; i++ {
+		e.Schedule(Time(1<<40+i), fn)
+	}
+	rounds := b.N + 1 // the first round warms the coroutines and slices
+	for i := 0; i < width; i++ {
+		e.Go("wg", func(p *Proc) {
+			for r := 1; r <= rounds; r++ {
+				ct.WaitGE(p, int64(r))
+				p.Sleep(10)
+				e.After(5, fn)
+			}
+		})
+	}
+	e.Go("counter", func(p *Proc) {
+		for r := 0; r < rounds; r++ {
+			ct.Add(1)
+			p.Sleep(100)
+		}
+		e.Stop()
+	})
+	e.RunUntil(99)
+	warm := e.Executed()
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(e.Executed()-warm), "ns/event")
+}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -164,4 +165,426 @@ func TestDifferentialQueueOrder(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The birth-order oracle below extends the check to everything the
+// single-lane reference above never exercises: events scheduled from
+// callbacks on several lanes, 64-wide same-delay fan-outs (the work-group
+// shape, which the engine chains into same-birth runs), cancels of a run's
+// head, middle and tail, compaction in the middle of a run, and foreign
+// events pushed with another engine's birth keys. The oracle models the
+// engine's documented semantics with no runs: a set of future events
+// ordered by the full birth key (at, bTime, bLane, bIdx), a FIFO of
+// same-instant events, lazy reclamation of cancelled events at the queue
+// fronts, and compaction once cancelled events outnumber the live heap
+// events. After every operation the engine's pop order, Pending() and
+// every handle's Cancelled() must match it.
+
+// oEvent is one oracle event.
+type oEvent struct {
+	id              int
+	at, bTime       Time
+	bLane, execLane uint32
+	bIdx            uint64
+	cancelled       bool
+	gone            bool // reclaimed: fired, drained or compacted away
+}
+
+func (a *oEvent) before(b *oEvent) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.bTime != b.bTime {
+		return a.bTime < b.bTime
+	}
+	if a.bLane != b.bLane {
+		return a.bLane < b.bLane
+	}
+	return a.bIdx < b.bIdx
+}
+
+// birthOracle is the reference queue. heap is unordered; pops scan it for
+// the minimum birth key.
+type birthOracle struct {
+	now        Time
+	lane       uint32
+	laneSeq    map[uint32]uint64
+	heap       []*oEvent
+	nowq       []*oEvent
+	ncancelled int
+}
+
+func (o *birthOracle) schedule(id int, at Time, execLane uint32) *oEvent {
+	o.laneSeq[o.lane]++
+	ev := &oEvent{id: id, at: at, bTime: o.now, bLane: o.lane, execLane: execLane, bIdx: o.laneSeq[o.lane]}
+	if at == o.now {
+		o.nowq = append(o.nowq, ev)
+	} else {
+		o.heap = append(o.heap, ev)
+	}
+	return ev
+}
+
+func (o *birthOracle) pushForeign(id int, at, bTime Time, bLane, execLane uint32, bIdx uint64) *oEvent {
+	ev := &oEvent{id: id, at: at, bTime: bTime, bLane: bLane, execLane: execLane, bIdx: bIdx}
+	o.heap = append(o.heap, ev)
+	return ev
+}
+
+func (o *birthOracle) heapMin() int {
+	min := -1
+	for i, ev := range o.heap {
+		if min < 0 || ev.before(o.heap[min]) {
+			min = i
+		}
+	}
+	return min
+}
+
+func (o *birthOracle) removeHeap(i int) *oEvent {
+	ev := o.heap[i]
+	o.heap[i] = o.heap[len(o.heap)-1]
+	o.heap = o.heap[:len(o.heap)-1]
+	return ev
+}
+
+// cancel reports whether the cancel compacted the queues.
+func (o *birthOracle) cancel(ev *oEvent) bool {
+	if ev.gone || ev.cancelled {
+		return false
+	}
+	ev.cancelled = true
+	o.ncancelled++
+	if o.ncancelled > 32 && o.ncancelled*2 > len(o.heap) {
+		o.heap = o.dropCancelled(o.heap)
+		o.nowq = o.dropCancelled(o.nowq)
+		return true
+	}
+	return false
+}
+
+func (o *birthOracle) dropCancelled(evs []*oEvent) []*oEvent {
+	var keep []*oEvent
+	for _, ev := range evs {
+		if ev.cancelled {
+			o.ncancelled--
+			ev.gone = true
+		} else {
+			keep = append(keep, ev)
+		}
+	}
+	return keep
+}
+
+// step reclaims cancelled events at both fronts, then pops the next event:
+// a heap event due now beats the FIFO, the FIFO beats any later heap event.
+func (o *birthOracle) step() *oEvent {
+	for {
+		i := o.heapMin()
+		if i < 0 || !o.heap[i].cancelled {
+			break
+		}
+		o.removeHeap(i).gone = true
+		o.ncancelled--
+	}
+	for len(o.nowq) > 0 && o.nowq[0].cancelled {
+		o.nowq[0].gone = true
+		o.nowq = o.nowq[1:]
+		o.ncancelled--
+	}
+	var ev *oEvent
+	if i := o.heapMin(); i >= 0 && (o.heap[i].at == o.now || len(o.nowq) == 0) {
+		ev = o.removeHeap(i)
+	} else if len(o.nowq) > 0 {
+		ev, o.nowq = o.nowq[0], o.nowq[1:]
+	} else {
+		return nil
+	}
+	ev.gone = true
+	o.now, o.lane = ev.at, ev.execLane
+	return ev
+}
+
+func (o *birthOracle) pending() int {
+	return len(o.heap) + len(o.nowq) - o.ncancelled
+}
+
+// lockstep runs one op stream through an engine and the oracle in
+// lockstep. Ops after a pop run inside the fired event's callback, on its
+// lane and at its time, up to the next pop, lane switch or foreign push;
+// those three only run between steps, where the shard coordinator calls
+// PushForeign.
+type lockstep struct {
+	tb  testing.TB
+	ops []byte
+	pc  int
+
+	e       *Engine
+	o       *birthOracle
+	handles []Event
+	evs     []*oEvent
+	live    []int // ids the oracle still queues
+	fanout  []int // ids of the last fan-out, in push order
+	foreign map[uint32]uint64
+	// maxQueue caps fan-outs at singletons while the queue is longer.
+	maxQueue int
+
+	fired, compactions, runChecks int // coverage counters
+}
+
+const (
+	opSchedule = iota // 0-3
+	opFanout   = 4    // 4-5
+	opCancel   = 6    // 6-7
+	opThin     = 8    // cancel many members of the last fan-out
+	opForeign  = 9
+	opSetLane  = 10
+	opPop      = 11 // 11-15
+)
+
+func (d *lockstep) arg() int {
+	if d.pc >= len(d.ops) {
+		return 0
+	}
+	d.pc++
+	return int(d.ops[d.pc-1])
+}
+
+func (d *lockstep) kind() int {
+	k := int(d.ops[d.pc] % 16)
+	switch {
+	case k < opFanout:
+		return opSchedule
+	case k < opCancel:
+		return opFanout
+	case k < opThin:
+		return opCancel
+	case k > opPop:
+		return opPop
+	}
+	return k
+}
+
+func (d *lockstep) schedule(delay Time, execLane uint32) {
+	id := len(d.evs)
+	at := d.e.Now() + delay
+	d.handles = append(d.handles, d.e.AfterLane(delay, execLane, func() { d.fire(id) }))
+	d.evs = append(d.evs, d.o.schedule(id, at, execLane))
+	d.live = append(d.live, id)
+}
+
+// cancel cancels a scheduled event; foreign events have no handle.
+func (d *lockstep) cancel(id int) {
+	if d.handles[id].eng == nil {
+		return
+	}
+	d.handles[id].Cancel()
+	if d.o.cancel(d.evs[id]) && d.e.nheap > len(d.e.heap) {
+		d.compactions++ // with a same-birth run still queued
+	}
+}
+
+// runOps executes ops until the stream ends or, inside a callback, until
+// an op that belongs between steps.
+func (d *lockstep) runOps(inCallback bool) {
+	for d.pc < len(d.ops) {
+		k := d.kind()
+		if k == opPop || (inCallback && (k == opForeign || k == opSetLane)) {
+			return
+		}
+		d.pc++
+		a, b := d.arg(), d.arg()
+		switch k {
+		case opSchedule:
+			// Delay 0 lands in the same-instant FIFO; small delays collide.
+			d.schedule(Time(a%6), uint32(b%4))
+		case opFanout:
+			// Mostly the 64-wide work-group shape; members keep one birth
+			// (the scheduling context), whatever lanes they execute on.
+			// A queue past maxQueue only slows the per-op checks.
+			n := 64
+			if a%4 == 0 || len(d.o.heap)+len(d.o.nowq) > d.maxQueue {
+				n = 1 + a%16
+			}
+			d.fanout = d.fanout[:0]
+			for i := 0; i < n; i++ {
+				lane := uint32(b / 16 % 4)
+				if b%2 == 1 {
+					lane = uint32(i % 4)
+				}
+				d.fanout = append(d.fanout, len(d.evs))
+				d.schedule(Time(1+b%5), lane)
+			}
+		case opCancel:
+			switch n := len(d.fanout); {
+			case a%4 == 3 || n == 0:
+				if len(d.live) > 0 {
+					d.cancel(d.live[b%len(d.live)])
+				}
+			default:
+				d.cancel(d.fanout[[]int{0, n / 2, n - 1}[a%4]]) // head, middle, tail
+			}
+		case opThin:
+			// Every other member, or every member but the head and tail.
+			step, from, to := 2, a%2, len(d.fanout)
+			if a%3 == 2 {
+				step, from, to = 1, 1, len(d.fanout)-1
+			}
+			for i := from; i < to; i += step {
+				d.cancel(d.fanout[i])
+			}
+		case opForeign:
+			// Born on another engine's lane, executing on one of ours.
+			lane, execLane := uint32(8+a%4), uint32(a/4%4)
+			bTime := d.e.Now() - Time(b%3)
+			if bTime < 0 {
+				bTime = 0
+			}
+			at := d.e.Now() + Time(1+b/4%5)
+			d.foreign[lane]++
+			id := len(d.evs)
+			d.e.PushForeign(at, bTime, lane, d.foreign[lane], execLane, "", func() { d.fire(id) })
+			d.handles = append(d.handles, Event{})
+			d.evs = append(d.evs, d.o.pushForeign(id, at, bTime, lane, execLane, d.foreign[lane]))
+			d.live = append(d.live, id)
+		case opSetLane:
+			d.e.SetLane(uint32(a % 4))
+			d.o.lane = uint32(a % 4)
+		}
+		d.check()
+	}
+}
+
+// fire is every event's callback: the oracle pops at the same instant the
+// engine does, then the following ops run inside the callback.
+func (d *lockstep) fire(id int) {
+	d.fired++
+	want := d.o.step()
+	if want == nil {
+		d.tb.Fatalf("op %d: engine fired event %d, oracle queue is empty", d.pc, id)
+	}
+	if want.id != id {
+		d.tb.Fatalf("op %d: engine fired event %d %+v, oracle fires event %d %+v", d.pc, id, *d.evs[id], want.id, *want)
+	}
+	if d.e.Now() != want.at || d.e.Lane() != want.execLane {
+		d.tb.Fatalf("op %d: event %d fired at %v on lane %d, oracle says %v on lane %d",
+			d.pc, id, d.e.Now(), d.e.Lane(), want.at, want.execLane)
+	}
+	d.check()
+	d.runOps(true)
+}
+
+// check compares Pending() and every still-tracked handle's Cancelled()
+// with the oracle. An id leaves tracking once the oracle no longer queues
+// it; its handle is stale from then on and must read not-cancelled.
+func (d *lockstep) check() {
+	if got, want := d.e.Pending(), d.o.pending(); got != want {
+		d.tb.Fatalf("op %d: Pending() = %d, oracle has %d live events", d.pc, got, want)
+	}
+	if d.e.nheap > len(d.e.heap) {
+		d.runChecks++
+	}
+	keep := d.live[:0]
+	for _, id := range d.live {
+		ev := d.evs[id]
+		want := !ev.gone && ev.cancelled
+		if h := d.handles[id]; h.eng != nil && h.Cancelled() != want {
+			d.tb.Fatalf("op %d: event %d Cancelled() = %v, oracle says %v", d.pc, id, !want, want)
+		}
+		if !ev.gone {
+			keep = append(keep, id)
+		}
+	}
+	d.live = keep
+}
+
+// runOrderOps drives ops to the end, then drains both queues.
+func runOrderOps(tb testing.TB, ops []byte, maxQueue int) *lockstep {
+	d := &lockstep{tb: tb, ops: ops, e: NewEngine(), o: &birthOracle{laneSeq: map[uint32]uint64{}},
+		foreign: map[uint32]uint64{}, maxQueue: maxQueue}
+	d.runOps(false)
+	for d.pc < len(d.ops) {
+		d.pc += 3 // the pop and its two unused argument bytes
+		before := d.fired
+		d.e.step()
+		if d.fired == before {
+			if ev := d.o.step(); ev != nil {
+				tb.Fatalf("op %d: engine fired nothing, oracle fires event %d", d.pc, ev.id)
+			}
+		}
+		d.runOps(false)
+	}
+	d.ops, d.pc = nil, 0
+	for d.e.step() {
+	}
+	if ev := d.o.step(); ev != nil {
+		tb.Fatalf("engine drained, oracle still fires event %d", ev.id)
+	}
+	if p := d.e.Pending(); p != 0 {
+		tb.Fatalf("Pending() = %d after drain", p)
+	}
+	return d
+}
+
+// orderOps draws an op stream weighted toward the work-group shape: fan-outs
+// followed by pops and cancels, with enough thinning to compact mid-run.
+func orderOps(rng *rand.Rand, n int) []byte {
+	ops := make([]byte, 0, 3*n)
+	weights := []struct{ op, w int }{
+		{opSchedule, 18}, {opFanout, 6}, {opCancel, 14}, {opThin, 5},
+		{opForeign, 5}, {opSetLane, 4}, {opPop, 48},
+	}
+	for i := 0; i < n; i++ {
+		r := rng.Intn(100)
+		op := opPop
+		for _, w := range weights {
+			if r < w.w {
+				op = w.op
+				break
+			}
+			r -= w.w
+		}
+		ops = append(ops, byte(op+16*rng.Intn(16)), byte(rng.Intn(256)), byte(rng.Intn(256)))
+	}
+	return ops
+}
+
+// TestBirthOrderOracle drives 20 seeded op streams of 600 ops through the
+// engine and the birth-key oracle, and requires that the streams really
+// exercised runs and mid-run compaction.
+func TestBirthOrderOracle(t *testing.T) {
+	var fired, compactions, runChecks int
+	for trial := 0; trial < 20; trial++ {
+		var d *lockstep
+		t.Run(fmt.Sprint("seed", 9100+trial), func(t *testing.T) {
+			d = runOrderOps(t, orderOps(rand.New(rand.NewSource(int64(9100+trial))), 600), 1024)
+		})
+		if d == nil {
+			return
+		}
+		fired += d.fired
+		compactions += d.compactions
+		runChecks += d.runChecks
+	}
+	if compactions == 0 || runChecks == 0 {
+		t.Fatalf("op streams too tame: %d compactions across a run, %d checks with a same-birth run queued (%d events fired)",
+			compactions, runChecks, fired)
+	}
+	t.Logf("%d events fired, %d compactions across a run, %d checks with a run queued", fired, compactions, runChecks)
+}
+
+// FuzzEngineOrder feeds arbitrary op streams (3 bytes an op, see runOps)
+// to the same engine-vs-oracle lockstep, kept small so that each exec, and
+// the fuzzer's minimization of each new input, stays fast.
+func FuzzEngineOrder(f *testing.F) {
+	for seed := int64(0); seed < 4; seed++ {
+		f.Add(orderOps(rand.New(rand.NewSource(seed)), 200))
+	}
+	f.Add([]byte{opFanout, 1, 3, opPop, 0, 0, opCancel, 0, 0, opCancel, 2, 0, opThin, 1, 0, opPop, 0, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 3*200 {
+			ops = ops[:3*200]
+		}
+		runOrderOps(t, ops, 256)
+	})
 }

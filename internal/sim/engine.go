@@ -9,7 +9,7 @@ import (
 // a contiguous arena of slots recycled through a free list, the ready queue
 // is a 4-ary min-heap of inline key entries, and callers hold lightweight
 // value handles instead of pointers. Cancellation is lazy: a cancelled event
-// stays queued until popped, and the queue compacts when cancelled entries
+// stays queued until popped, and the queue compacts when cancelled events
 // outnumber live ones.
 //
 // Ordering: every scheduled event carries a birth key — the simulated time
@@ -25,6 +25,14 @@ import (
 // model run produces the same keys no matter how lanes are partitioned
 // into shards — which is what makes bounded-window parallel execution
 // deterministic.
+//
+// Same-birth runs: consecutive heap pushes that share (at, bTime, bLane) —
+// a counter waking a kernel's work-groups that each sleep the same lag, or
+// each posting an MMIO flight of the same latency — ride one heap entry.
+// Such events are one contiguous range of the birth-key order, ordered by
+// push order inside it, so the later ones chain behind the first through
+// eventSlot.next and skip the heap. Popping a run's head promotes the next
+// member into heap[0] without a sift: it is the new global minimum.
 
 // eventSlot is one arena cell. A slot is either queued (its gen matches
 // outstanding handles) or free (gen bumped, on the free list). Slots are
@@ -32,6 +40,8 @@ import (
 // a no-op, matching the seed engine's "cancelling a fired event does
 // nothing" semantics. lane is the event's execution lane: the ambient lane
 // its callback runs under (and therefore the birth lane of its children).
+// next links a same-birth run: the id+1 of the member queued behind this
+// one, 0 for none (so a zero slot is a run's tail).
 type eventSlot struct {
 	at        Time
 	fn        func()
@@ -40,10 +50,13 @@ type eventSlot struct {
 	lane      uint32
 	gen       uint32
 	cancelled bool
+	next      int32
 }
 
 // heapEntry carries the ordering key inline so sift comparisons never chase
-// into the arena.
+// into the arena. For a same-birth run, id is the run's front member while
+// bIdx stays the run head's counter: every member of the run sorts between
+// the same neighbours as its head, so the head's key orders all of them.
 type heapEntry struct {
 	at    Time
 	bTime Time   // simulated time of the scheduling call
@@ -95,7 +108,7 @@ func (ev Event) Cancel() {
 	// Compact once cancelled entries outnumber live ones, but never bother
 	// for tiny queues: the lazy pop-path drain reclaims those for free, and
 	// eager reclamation would invalidate handles callers may still inspect.
-	if e.ncancelled > 32 && e.ncancelled*2 > len(e.heap) {
+	if e.ncancelled > 32 && e.ncancelled*2 > e.nheap {
 		e.compact()
 	}
 }
@@ -135,8 +148,19 @@ type Engine struct {
 	arena      []eventSlot
 	free       []int32
 	heap       []heapEntry
+	nheap      int // events queued through the heap, run members included
 	ncancelled int
 	executed   uint64
+
+	// run is the open same-birth run: the last heap push's key and its
+	// slot (id+1, 0 for none) with the generation it was queued under, so
+	// a tail reclaimed since (cancelled and drained) is never joined.
+	run struct {
+		at, bTime Time
+		lane      uint32
+		tail      int32
+		gen       uint32
+	}
 
 	// nowq is the same-time fast path: events scheduled at the current
 	// instant in a FIFO ring, bypassing the heap. This is sound because
@@ -174,7 +198,7 @@ func (e *Engine) Now() Time { return e.now }
 
 // Pending reports the number of live (non-cancelled) events in the queue.
 func (e *Engine) Pending() int {
-	return len(e.heap) + (len(e.nowq) - e.nowqHead) - e.ncancelled
+	return e.nheap + (len(e.nowq) - e.nowqHead) - e.ncancelled
 }
 
 // Executed reports how many events this engine has fired so far.
@@ -252,12 +276,20 @@ func (e *Engine) scheduleLane(at Time, label string, fn func(), proc *Proc, exec
 		id = int32(len(e.arena) - 1)
 	}
 	s := &e.arena[id]
-	s.at, s.fn, s.proc, s.label, s.lane, s.cancelled = at, fn, proc, label, execLane, false
+	s.at, s.fn, s.proc, s.label, s.lane, s.cancelled, s.next = at, fn, proc, label, execLane, false, 0
 	if at == e.now {
 		e.nowq = append(e.nowq, id)
+		return Event{eng: e, at: at, id: id, gen: s.gen}
+	}
+	e.nheap++
+	r := &e.run
+	if r.tail != 0 && r.at == at && r.bTime == e.now && r.lane == bLane && e.arena[r.tail-1].gen == r.gen {
+		e.arena[r.tail-1].next = id + 1
 	} else {
+		r.at, r.bTime, r.lane = at, e.now, bLane
 		e.heapPush(heapEntry{at: at, bTime: e.now, bIdx: bIdx, bLane: bLane, id: id})
 	}
+	r.tail, r.gen = id+1, s.gen
 	return Event{eng: e, at: at, id: id, gen: s.gen}
 }
 
@@ -285,7 +317,9 @@ func (e *Engine) Lane() uint32 { return e.curLane }
 // group, carrying its original birth key so same-time ordering matches the
 // single-engine run. Only the shard coordinator calls it, between windows,
 // when no engine is executing. The event must be in this engine's strict
-// future (the lookahead window guarantees it).
+// future (the lookahead window guarantees it). It never joins a same-birth
+// run and closes the open one: its birth lane belongs to another engine,
+// so it can share no local run's key.
 func (e *Engine) PushForeign(at, bTime Time, bLane uint32, bIdx uint64, execLane uint32, label string, fn func()) {
 	if at <= e.now {
 		panic(fmt.Sprintf("sim: foreign event at %v not beyond now %v (lookahead violated)", at, e.now))
@@ -299,7 +333,9 @@ func (e *Engine) PushForeign(at, bTime Time, bLane uint32, bIdx uint64, execLane
 		id = int32(len(e.arena) - 1)
 	}
 	s := &e.arena[id]
-	s.at, s.fn, s.proc, s.label, s.lane, s.cancelled = at, fn, nil, label, execLane, false
+	s.at, s.fn, s.proc, s.label, s.lane, s.cancelled, s.next = at, fn, nil, label, execLane, false, 0
+	e.nheap++
+	e.run.tail = 0
 	e.heapPush(heapEntry{at: at, bTime: bTime, bIdx: bIdx, bLane: bLane, id: id})
 }
 
@@ -320,8 +356,7 @@ func (e *Engine) freeSlot(id int32) {
 func (e *Engine) drainCancelled() {
 	for len(e.heap) > 0 && e.arena[e.heap[0].id].cancelled {
 		e.ncancelled--
-		e.freeSlot(e.heap[0].id)
-		e.heapPop()
+		e.freeSlot(e.heapPop())
 	}
 	for e.nowqHead < len(e.nowq) && e.arena[e.nowq[e.nowqHead]].cancelled {
 		e.ncancelled--
@@ -455,17 +490,34 @@ func (e *Engine) nextAt() (Time, bool) {
 	return 0, false
 }
 
-// compact removes every lazily-cancelled entry from both queues in one pass
-// and re-establishes the heap invariant. Triggered when cancelled entries
+// compact removes every lazily-cancelled event from both queues in one pass
+// and re-establishes the heap invariant. Triggered when cancelled events
 // outnumber live ones; ordering is unaffected because the birth key is a
-// total order independent of heap layout and the nowq filter preserves FIFO.
+// total order independent of heap layout, a run's survivors keep their
+// chain order, and the nowq filter preserves FIFO.
 func (e *Engine) compact() {
 	keep := e.heap[:0]
 	for _, h := range e.heap {
-		if e.arena[h.id].cancelled {
-			e.ncancelled--
-			e.freeSlot(h.id)
-		} else {
+		// Re-link the run's survivors; link points at the field that
+		// names the next survivor (the entry's id+1 for the first).
+		first := int32(0)
+		link := &first
+		for id := h.id + 1; id != 0; {
+			s := &e.arena[id-1]
+			next := s.next
+			if s.cancelled {
+				e.ncancelled--
+				e.nheap--
+				e.freeSlot(id - 1)
+			} else {
+				*link = id
+				link = &s.next
+			}
+			id = next
+		}
+		*link = 0
+		if first != 0 {
+			h.id = first - 1
 			keep = append(keep, h)
 		}
 	}
@@ -508,9 +560,16 @@ func (e *Engine) heapPush(h heapEntry) {
 	}
 }
 
-// heapPop removes and returns the slot id of the minimum entry.
+// heapPop removes and returns the slot id of the minimum event. A run's
+// next member takes the head's place without a sift: it shares the head's
+// key, so it is the new minimum.
 func (e *Engine) heapPop() int32 {
 	id := e.heap[0].id
+	e.nheap--
+	if next := e.arena[id].next; next != 0 {
+		e.heap[0].id = next - 1
+		return id
+	}
 	n := len(e.heap) - 1
 	e.heap[0] = e.heap[n]
 	e.heap = e.heap[:n]

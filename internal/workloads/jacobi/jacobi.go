@@ -334,7 +334,7 @@ func (st *rankState) runGDS(p *sim.Proc) {
 	perWG := st.gpuStencilPerWGTime(wgs)
 	for k := 0; k < st.params.Iters; k++ {
 		for _, d := range dirs {
-			md := st.nd.Ptl.MDBind(fmt.Sprintf("halo.%d.%v", k, d), st.haloBytes(), st.sendPayload(k, d), nil)
+			md := st.nd.Ptl.MDBind("halo", st.haloBytes(), st.sendPayload(k, d), nil)
 			ring := backends.PrePost(p, st.nd, md, st.haloBytes(), st.nbrs[d], haloMatchBits)
 			stream.EnqueueDoorbell(ring)
 		}
@@ -384,7 +384,7 @@ func (st *rankState) runGPUTN(p *sim.Proc) error {
 
 	register := func(k int) error {
 		for _, d := range dirs {
-			md := st.nd.Ptl.MDBind(fmt.Sprintf("tn.halo.%d.%v", k, d), st.haloBytes(), st.sendPayload(k, d), comp.CT)
+			md := st.nd.Ptl.MDBind("tn.halo", st.haloBytes(), st.sendPayload(k, d), comp.CT)
 			// Pressure-aware registration: a full trigger list stalls the
 			// host until an in-flight halo put fires and frees a slot.
 			if err := host.TrigPutPressure(p, comp, tagFor(k, d), int64(wgs), md, st.haloBytes(), st.nbrs[d], haloMatchBits); err != nil {

@@ -133,7 +133,7 @@ func (st *rankState) runGPUTNOverlap(p *sim.Proc) {
 
 	register := func(k int) {
 		for _, d := range dirs {
-			md := st.nd.Ptl.MDBind(fmt.Sprintf("tn.halo.%d.%v", k, d), st.haloBytes(), st.sendPayload(k, d), comp.CT)
+			md := st.nd.Ptl.MDBind("tn.halo", st.haloBytes(), st.sendPayload(k, d), comp.CT)
 			if err := host.TrigPut(p, tagFor(k, d), int64(wgs), md, st.haloBytes(), st.nbrs[d], haloMatchBits); err != nil {
 				panic(fmt.Sprintf("jacobi: overlap rank %d iter %d dir %v: %v", st.nd.Index, k, d, err))
 			}

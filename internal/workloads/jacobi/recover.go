@@ -294,7 +294,7 @@ func (st *rankState) runGPUTNRecover(p *sim.Proc, mb, tagBase uint64, timeout si
 
 	register := func(k int) error {
 		for _, d := range dirs {
-			md := st.nd.Ptl.MDBind(fmt.Sprintf("tn.rec.%d.%v", k, d), st.haloBytes(), st.sendPayload(k, d), comp.CT)
+			md := st.nd.Ptl.MDBind("tn.rec", st.haloBytes(), st.sendPayload(k, d), comp.CT)
 			if err := host.TrigPutPressure(p, comp, recTagFor(tagBase, k, d), int64(wgs), md, st.haloBytes(), st.nbrs[d], mb); err != nil {
 				return fmt.Errorf("jacobi: rank %d iter %d dir %v: %w", st.nd.Index, k, d, err)
 			}
