@@ -1,12 +1,15 @@
 GO ?= go
 
-.PHONY: check chaos chaos-scenarios chaos-search chaos-topology build test vet lint bench bench-smoke bench-shards fuzz-smoke
+.PHONY: check chaos chaos-scenarios chaos-search chaos-topology build test vet lint bench bench-smoke bench-shards outputs-diff fuzz-smoke
 
 # Pinned so CI runs reproduce: bump deliberately, not via a floating tag.
 STATICCHECK_VERSION ?= 2024.1.1
 
 # Per-target budget for the fuzz smoke run.
 FUZZ_TIME ?= 15s
+
+# Revision outputs-diff compares the working tree against.
+BASE ?= HEAD
 
 ## check: the full gate — gofmt, vet, build, and the whole suite under the
 ## race detector (includes the crash-recovery smoke tests alongside everything
@@ -120,6 +123,35 @@ bench-shards:
 	"$$dir/gputn-bench" -exp faults -shards 4 | grep -v '^engine: sharded' > "$$dir/faults-s4.txt"; \
 	diff "$$dir/faults-default.txt" "$$dir/faults-s4.txt"
 	GOMAXPROCS=4 $(GO) test -race -run 'TestShard' -count=1 ./internal/sim/ ./internal/collective/
+
+## outputs-diff: the byte-identity gate for changes that must not move any
+## simulated output. Builds gputn-bench and every examples/ program from
+## BASE (a git revision, default HEAD; extracted with git archive, so no
+## worktree is registered) and from the working tree, then runs both sides
+## and diffs: every experiment of -exp all (read from -list), the folded
+## extensions (timelines, mlsweep, mltrain, sensitivity), fig10 on the
+## fat-tree and at -shards 4, the chaos search with and without the seeded
+## double-fire bug, and all examples. Fails on the first difference; the
+## temporary directory is removed on exit.
+outputs-diff:
+	set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	mkdir "$$dir/src" "$$dir/base" "$$dir/new"; \
+	git archive "$(BASE)" | tar -x -C "$$dir/src"; \
+	for side in base new; do \
+		src=.; test "$$side" = new || src="$$dir/src"; \
+		(cd "$$src" && $(GO) build -o "$$dir/$$side/gputn-bench" ./cmd/gputn-bench && \
+			for ex in examples/*/; do $(GO) build -o "$$dir/$$side/example-$$(basename "$$ex")" "./$$ex"; done); \
+	done; \
+	check() { name=$$1; prog=$$2; shift 2; \
+		for side in base new; do "$$dir/$$side/$$prog" "$$@" > "$$dir/$$side/$$name.txt"; done; \
+		diff "$$dir/base/$$name.txt" "$$dir/new/$$name.txt"; echo "identical: $$name"; }; \
+	exps=$$("$$dir/new/gputn-bench" -list | awk '!/not part of -exp all/ && $$1 != "figures" && $$1 != "all" { print $$1 }'); \
+	for exp in $$exps timelines mlsweep mltrain sensitivity; do check "$$exp" gputn-bench -exp "$$exp"; done; \
+	check fig10-fattree gputn-bench -exp fig10 -topo fattree; \
+	check fig10-shards4 gputn-bench -exp fig10 -shards 4; \
+	check chaossearch gputn-bench -exp chaossearch -chaos-seed 42 -chaos-trials 4; \
+	check chaossearch-doublefire gputn-bench -exp chaossearch -chaos-seed 42 -chaos-trials 4 -chaos-inject doublefire; \
+	for ex in examples/*/; do check "example-$$(basename "$$ex")" "example-$$(basename "$$ex")"; done
 
 ## fuzz-smoke: every committed Fuzz* target under the actual fuzzer for
 ## FUZZ_TIME each — plain `go test` only replays their seed corpora. The

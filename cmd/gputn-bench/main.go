@@ -266,7 +266,6 @@ func parseFlags(args []string) (config.SystemConfig, options, error) {
 	fs.IntVar(&rc.PlaceholderEntries, "cap-placeholders", 0, "relaxed-sync placeholder budget (0 = shared with trigger list)")
 	fs.IntVar(&rc.CmdQueueDepth, "cap-cmdq", 0, "host command-queue depth; full queues backpressure posters (0 = unbounded)")
 	fs.IntVar(&cfg.NIC.TriggerFIFODepth, "cap-trigger-fifo", 0, "trigger FIFO depth; overflow drops and counts (0 = unbounded)")
-	fs.IntVar(&rc.EQDepth, "cap-eq", 0, "default event-queue capacity; overflow drops PTL_EQ_DROPPED-style (0 = unbounded)")
 
 	ft := &cfg.Network.FatTree
 	fs.StringVar(&cfg.Network.Topology, "topo", "", "interconnect topology: star|fattree (empty = the Table 2 star)")
@@ -486,8 +485,8 @@ func printHeader(cfg config.SystemConfig) {
 		fmt.Printf("e2e checksum: on latency=%v\n", cfg.NIC.E2EChecksumLatency)
 	}
 	if rc := cfg.NIC.Resources; rc.Enabled() || cfg.NIC.TriggerFIFODepth > 0 {
-		fmt.Printf("resources: triggerEntries=%d placeholders=%d cmdq=%d trigFIFO=%d eq=%d (0 = unbounded/default)\n",
-			rc.TriggerEntries, rc.PlaceholderEntries, rc.CmdQueueDepth, cfg.NIC.TriggerFIFODepth, rc.EQDepth)
+		fmt.Printf("resources: triggerEntries=%d placeholders=%d cmdq=%d trigFIFO=%d (0 = unbounded/default)\n",
+			rc.TriggerEntries, rc.PlaceholderEntries, rc.CmdQueueDepth, cfg.NIC.TriggerFIFODepth)
 	}
 	fmt.Println()
 }

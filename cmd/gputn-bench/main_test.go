@@ -157,9 +157,9 @@ func TestParseFlagsConfig(t *testing.T) {
 		{
 			name: "cap group",
 			args: []string{"-cap-trigger-entries", "8", "-cap-placeholders", "4", "-cap-cmdq", "16",
-				"-cap-trigger-fifo", "32", "-cap-eq", "64"},
+				"-cap-trigger-fifo", "32"},
 			want: func(c *config.SystemConfig) {
-				c.NIC.Resources = config.ResourceConfig{TriggerEntries: 8, PlaceholderEntries: 4, CmdQueueDepth: 16, EQDepth: 64}
+				c.NIC.Resources = config.ResourceConfig{TriggerEntries: 8, PlaceholderEntries: 4, CmdQueueDepth: 16}
 				c.NIC.TriggerFIFODepth = 32
 			},
 		},

@@ -126,31 +126,3 @@ func RenderResourcePressure(cfg config.SystemConfig) string {
 	}
 	return b.String()
 }
-
-// ResourceReport summarizes a cluster's resource high-water marks and
-// overflow counters in one line (used by run headers and tests),
-// complementing FabricLossReport on the loss side.
-func ResourceReport(c *node.Cluster) string {
-	var trigHW, phHW, cmdHW, fifoHW, dropped, rejects, stalls, flowctl int64
-	for _, nd := range c.Nodes {
-		s := nd.NIC.Stats()
-		if s.TriggerListHighWater > trigHW {
-			trigHW = s.TriggerListHighWater
-		}
-		if s.PlaceholderHighWater > phHW {
-			phHW = s.PlaceholderHighWater
-		}
-		if s.CmdQueueHighWater > cmdHW {
-			cmdHW = s.CmdQueueHighWater
-		}
-		if s.TrigFIFOHighWater > fifoHW {
-			fifoHW = s.TrigFIFOHighWater
-		}
-		dropped += s.DroppedTriggers
-		rejects += s.RegistrationRejects
-		stalls += s.CmdQueueStalls
-		flowctl += s.FlowCtlDrops
-	}
-	return fmt.Sprintf("resources: highwater{trig=%d placeholder=%d cmdq=%d fifo=%d} dropped=%d rejects=%d cmdStalls=%d flowCtlDrops=%d",
-		trigHW, phHW, cmdHW, fifoHW, dropped, rejects, stalls, flowctl)
-}

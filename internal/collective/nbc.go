@@ -141,9 +141,6 @@ type Request struct {
 // Wait parks p until the schedule has fully executed (NBC_Wait).
 func (r *Request) Wait(p *sim.Proc) { r.done.WaitGE(p, 1) }
 
-// Test reports completion without blocking (NBC_Test).
-func (r *Request) Test() bool { return r.done.Value() >= 1 }
-
 // NBC binds a rank's schedule execution state: the inbound region and its
 // counting event. One NBC instance serves many sequential schedules.
 type NBC struct {

@@ -1,14 +1,10 @@
 package collective
 
-import (
-	"fmt"
+import "fmt"
 
-	"repro/internal/sim"
-)
-
-// Schedule builders for additional collectives on the NBC engine. Block
-// and value payloads are supplied by callbacks so the data plane stays
-// with the caller (tests verify numerics through NBC.OnDelivery).
+// Schedule builders for collectives on the NBC engine. Block payloads are
+// supplied by callbacks so the data plane stays with the caller (tests
+// verify numerics through NBC.OnDelivery).
 
 // AllgatherSchedule builds the ring allgather plan for one rank: N-1
 // rounds, each sending one block right and receiving one from the left.
@@ -35,73 +31,6 @@ func AllgatherSchedule(rank, n int, blockBytes int64, matchBits uint64, payload 
 			{Kind: ActSend, Peer: right, Size: blockBytes, MatchBits: matchBits, Payload: pf},
 			{Kind: ActRecv, Count: 1},
 		})
-	}
-	return s, nil
-}
-
-// AlltoallSchedule builds a linear-shift alltoall: n-1 rounds, each
-// exchanging one personalized block with a different partner (round k
-// sends my block for rank (rank+k) mod n and receives from (rank-k)
-// mod n). payload(dest) supplies the block destined for a rank.
-func AlltoallSchedule(rank, n int, blockBytes int64, matchBits uint64, payload func(dest int) any) (*Schedule, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("collective: alltoall needs >= 2 ranks")
-	}
-	if rank < 0 || rank >= n {
-		return nil, fmt.Errorf("collective: rank %d outside [0,%d)", rank, n)
-	}
-	s := &Schedule{}
-	for k := 1; k < n; k++ {
-		dest := (rank + k) % n
-		var pf func() any
-		if payload != nil {
-			d := dest
-			pf = func() any { return payload(d) }
-		}
-		s.Rounds = append(s.Rounds, []Action{
-			{Kind: ActSend, Peer: dest, Size: blockBytes, MatchBits: matchBits, Payload: pf},
-			{Kind: ActRecv, Count: 1},
-		})
-	}
-	return s, nil
-}
-
-// ReduceChainSchedule builds a chain reduction toward root: the leaf
-// sends its contribution; every intermediate rank receives its
-// predecessor's partial, combines it (opTime of modeled compute, fn for
-// the data transform), and forwards; the root receives and combines only.
-// payload supplies a rank's current partial at send time.
-func ReduceChainSchedule(rank, root, n int, bytes int64, matchBits uint64, opTime sim.Time, fn func(), payload func() any) (*Schedule, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("collective: reduce needs >= 2 ranks")
-	}
-	if rank < 0 || rank >= n || root < 0 || root >= n {
-		return nil, fmt.Errorf("collective: rank %d / root %d outside [0,%d)", rank, root, n)
-	}
-	// Chain position: 0 = leaf, n-1 = root.
-	pos := ((rank-root-1)%n + n) % n
-	next := (rank + 1) % n
-	s := &Schedule{}
-	var pf func() any
-	if payload != nil {
-		pf = payload
-	}
-	switch {
-	case pos == 0: // leaf: just send
-		s.Rounds = append(s.Rounds, []Action{
-			{Kind: ActSend, Peer: next, Size: bytes, MatchBits: matchBits, Payload: pf},
-		})
-	case rank == root: // root: receive + combine
-		s.Rounds = append(s.Rounds,
-			[]Action{{Kind: ActRecv, Count: 1}},
-			[]Action{{Kind: ActOp, Duration: opTime, Fn: fn}},
-		)
-	default: // intermediate: receive, combine, forward
-		s.Rounds = append(s.Rounds,
-			[]Action{{Kind: ActRecv, Count: 1}},
-			[]Action{{Kind: ActOp, Duration: opTime, Fn: fn}},
-			[]Action{{Kind: ActSend, Peer: next, Size: bytes, MatchBits: matchBits, Payload: pf}},
-		)
 	}
 	return s, nil
 }

@@ -154,47 +154,53 @@ func TestNBCNonBlockingOverlap(t *testing.T) {
 	}
 }
 
-func TestNBCReduceChain(t *testing.T) {
-	const n = 5
-	for _, root := range []int{0, 2} {
-		c := node.NewCluster(config.Default(), n)
-		// Each rank holds one float64; the chain accumulates a running sum.
-		vals := make([]float64, n)
-		partial := make([]float64, n)
-		for i := range vals {
-			vals[i] = float64(i + 1)
-			partial[i] = vals[i]
-		}
-		inbox := make([]float64, n)
-		nbcs := make([]*NBC, n)
-		for i := 0; i < n; i++ {
-			i := i
-			nbcs[i] = NewNBC(c.Nodes[i], nbcMB)
-			nbcs[i].OnDelivery = func(d nic.Delivery) { inbox[i] = d.Data.(float64) }
-		}
-		for i := 0; i < n; i++ {
-			i := i
-			sched, err := ReduceChainSchedule(i, root, n, 8, nbcMB,
-				100*sim.Nanosecond,
-				func() { partial[i] += inbox[i] },
-				func() any { return partial[i] })
+// Start runs a round's local operations only after the previous round's
+// receives have landed, charges their modeled time, and resolves a later
+// round's send payload after them: a three-rank chain 0 -> 1 -> 2 where
+// rank 1 doubles what it received before forwarding it.
+func TestNBCStartRunsOpRounds(t *testing.T) {
+	// Long enough to dominate the host send path after the op.
+	const opTime = 50 * sim.Microsecond
+	c := node.NewCluster(config.Default(), 3)
+	nbcs := make([]*NBC, 3)
+	inbox := make([]float64, 3)
+	landed := make([]sim.Time, 3)
+	for i := range nbcs {
+		i := i
+		nbcs[i] = NewNBC(c.Nodes[i], nbcMB)
+		nbcs[i].OnDelivery = func(d nic.Delivery) { inbox[i], landed[i] = d.Data.(float64), d.At }
+	}
+	var doubled float64
+	var forwarded sim.Time
+	send := func(peer int, v func() any) Action {
+		return Action{Kind: ActSend, Peer: peer, Size: 8, MatchBits: nbcMB, Payload: v}
+	}
+	scheds := []*Schedule{
+		{Rounds: [][]Action{{send(1, func() any { return 7.0 })}}},
+		{Rounds: [][]Action{
+			{{Kind: ActRecv, Count: 1}},
+			{{Kind: ActOp, Duration: opTime, Fn: func() { doubled = 2 * inbox[1] }}},
+			{send(2, func() any { forwarded = c.Eng.Now(); return doubled })},
+		}},
+		{Rounds: [][]Action{{{Kind: ActRecv, Count: 1}}}},
+	}
+	for i := range nbcs {
+		i := i
+		c.Eng.Go(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
+			req, err := nbcs[i].Start(scheds[i])
 			if err != nil {
-				t.Fatal(err)
+				t.Error(err)
+				return
 			}
-			c.Eng.Go(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
-				req, err := nbcs[i].Start(sched)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				req.Wait(p)
-			})
-		}
-		c.Run()
-		want := float64(n * (n + 1) / 2)
-		if partial[root] != want {
-			t.Fatalf("root %d sum = %v, want %v", root, partial[root], want)
-		}
+			req.Wait(p)
+		})
+	}
+	c.Run()
+	if inbox[2] != 14 {
+		t.Fatalf("rank 2 received %v, want 14", inbox[2])
+	}
+	if forwarded < landed[1]+opTime {
+		t.Fatalf("rank 1 forwarded at %v, before landing %v + op %v", forwarded, landed[1], opTime)
 	}
 }
 
@@ -259,85 +265,6 @@ func TestScheduleBuilderErrors(t *testing.T) {
 		t.Error("1-rank allgather accepted")
 	}
 	if _, err := AllgatherSchedule(5, 4, 8, 1, nil); err == nil {
-		t.Error("bad rank accepted")
-	}
-	if _, err := ReduceChainSchedule(0, 9, 4, 8, 1, 0, nil, nil); err == nil {
-		t.Error("bad root accepted")
-	}
-	if _, err := ReduceChainSchedule(0, 0, 1, 8, 1, 0, nil, nil); err == nil {
-		t.Error("1-rank reduce accepted")
-	}
-}
-
-type a2aMsg struct {
-	from int
-	vals []float32
-}
-
-func TestNBCAlltoall(t *testing.T) {
-	const n, blockElems = 5, 8
-	c := node.NewCluster(config.Default(), n)
-	// blocks[i][d] is what rank i sends to rank d; recv[i][s] what it got.
-	blocks := make([][][]float32, n)
-	recv := make([][][]float32, n)
-	nbcs := make([]*NBC, n)
-	for i := 0; i < n; i++ {
-		blocks[i] = make([][]float32, n)
-		recv[i] = make([][]float32, n)
-		for d := 0; d < n; d++ {
-			blocks[i][d] = make([]float32, blockElems)
-			for j := range blocks[i][d] {
-				blocks[i][d][j] = float32(i*100 + d*10 + j)
-			}
-		}
-		nbcs[i] = NewNBC(c.Nodes[i], nbcMB)
-		ii := i
-		nbcs[i].OnDelivery = func(d nic.Delivery) {
-			msg := d.Data.(a2aMsg)
-			recv[ii][msg.from] = msg.vals
-		}
-	}
-	for i := 0; i < n; i++ {
-		i := i
-		sched, err := AlltoallSchedule(i, n, blockElems*4, nbcMB, func(dest int) any {
-			return a2aMsg{from: i, vals: blocks[i][dest]}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Eng.Go(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
-			req, err := nbcs[i].Start(sched)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			req.Wait(p)
-		})
-	}
-	c.Run()
-	for i := 0; i < n; i++ {
-		for s := 0; s < n; s++ {
-			if s == i {
-				continue
-			}
-			got := recv[i][s]
-			if len(got) != blockElems {
-				t.Fatalf("rank %d missing block from %d", i, s)
-			}
-			for j, v := range got {
-				if v != float32(s*100+i*10+j) {
-					t.Fatalf("rank %d from %d elem %d = %v", i, s, j, v)
-				}
-			}
-		}
-	}
-}
-
-func TestAlltoallScheduleErrors(t *testing.T) {
-	if _, err := AlltoallSchedule(0, 1, 8, 1, nil); err == nil {
-		t.Error("1-rank alltoall accepted")
-	}
-	if _, err := AlltoallSchedule(9, 4, 8, 1, nil); err == nil {
 		t.Error("bad rank accepted")
 	}
 }

@@ -64,7 +64,7 @@ func TestZeroConfigIsBitForBit(t *testing.T) {
 			inert: func(c *config.SystemConfig) {
 				c.NIC.Resources = config.ResourceConfig{
 					TriggerEntries: 1 << 10, PlaceholderEntries: 1 << 10,
-					CmdQueueDepth: 1 << 20, EQDepth: 1 << 20,
+					CmdQueueDepth: 1 << 20,
 				}
 			},
 		},

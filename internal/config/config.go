@@ -704,17 +704,11 @@ type ResourceConfig struct {
 	// and NIC-internal pushes (trigger fires, pre-posted doorbells) are
 	// deferred in arrival order. Commands are never dropped. 0 = unbounded.
 	CmdQueueDepth int
-	// EQDepth is the default capacity portals.EQAlloc applies when the
-	// caller does not request one. Overflowing a flow-controlled EQ
-	// disables its portal-table entry (Portals 4 flow control). 0 keeps
-	// caller-requested capacities only (unbounded by default).
-	EQDepth int
 }
 
 // Enabled reports whether any capacity bound is armed.
 func (r ResourceConfig) Enabled() bool {
-	return r.TriggerEntries > 0 || r.PlaceholderEntries > 0 ||
-		r.CmdQueueDepth > 0 || r.EQDepth > 0
+	return r.TriggerEntries > 0 || r.PlaceholderEntries > 0 || r.CmdQueueDepth > 0
 }
 
 // NICConfig describes the RDMA NIC and the GPU-TN trigger hardware.
@@ -1039,8 +1033,6 @@ func (r ResourceConfig) validate() error {
 		return fmt.Errorf("config: Resources.PlaceholderEntries = %d", r.PlaceholderEntries)
 	case r.CmdQueueDepth < 0:
 		return fmt.Errorf("config: Resources.CmdQueueDepth = %d", r.CmdQueueDepth)
-	case r.EQDepth < 0:
-		return fmt.Errorf("config: Resources.EQDepth = %d", r.EQDepth)
 	case r.PlaceholderEntries > 0 && r.TriggerEntries > 0 && r.PlaceholderEntries > r.TriggerEntries:
 		return fmt.Errorf("config: Resources.PlaceholderEntries = %d exceeds TriggerEntries = %d",
 			r.PlaceholderEntries, r.TriggerEntries)

@@ -226,44 +226,3 @@ func matches(env *envelope, src, tag int) bool {
 	}
 	return true
 }
-
-// Request is an in-flight nonblocking operation.
-type Request struct {
-	done *sim.Counter
-	msg  Message
-}
-
-// Wait parks p until the operation completes and returns the message
-// (zero Message for sends).
-func (r *Request) Wait(p *sim.Proc) Message {
-	r.done.WaitGE(p, 1)
-	return r.msg
-}
-
-// Isend starts a nonblocking send.
-func (c *Comm) Isend(p *sim.Proc, dest, tag int, size int64, data any) *Request {
-	req := &Request{done: sim.NewCounter(c.nd.Eng)}
-	c.nd.Eng.Go(fmt.Sprintf("mpi.isend.%d", c.Rank()), func(sp *sim.Proc) {
-		c.Send(sp, dest, tag, size, data)
-		req.done.Add(1)
-	})
-	return req
-}
-
-// Irecv starts a nonblocking receive.
-func (c *Comm) Irecv(p *sim.Proc, src, tag int) *Request {
-	req := &Request{done: sim.NewCounter(c.nd.Eng)}
-	c.nd.Eng.Go(fmt.Sprintf("mpi.irecv.%d", c.Rank()), func(rp *sim.Proc) {
-		req.msg = c.Recv(rp, src, tag)
-		req.done.Add(1)
-	})
-	return req
-}
-
-// Sendrecv performs the combined exchange common in halo codes.
-func (c *Comm) Sendrecv(p *sim.Proc, dest, sendTag int, size int64, data any, src, recvTag int) Message {
-	sreq := c.Isend(p, dest, sendTag, size, data)
-	msg := c.Recv(p, src, recvTag)
-	sreq.Wait(p)
-	return msg
-}

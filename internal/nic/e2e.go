@@ -52,7 +52,7 @@ type Corruptible interface {
 	IsCorrupt() bool
 }
 
-// e2ePrepare resolves the outbound checksum for a put/atomic payload:
+// e2ePrepare resolves the outbound checksum for a put payload:
 // a Checksummed wrapper always unwraps (the source already paid for the
 // sum); otherwise, when the e2e layer is armed and the payload exposes
 // its body, the NIC computes the sum at DMA time. Returns the unwrapped

@@ -33,12 +33,6 @@ const (
 	// OpGet reads a match-bits-addressed region on the target node into a
 	// local buffer (one-sided).
 	OpGet
-	// OpAtomic applies an arithmetic operation to a remote region
-	// (PtlAtomic); no reply is generated.
-	OpAtomic
-	// OpFetchAtomic applies an arithmetic operation and returns the prior
-	// value to the initiator (PtlFetchAtomic).
-	OpFetchAtomic
 )
 
 func (k OpKind) String() string {
@@ -47,42 +41,8 @@ func (k OpKind) String() string {
 		return "put"
 	case OpGet:
 		return "get"
-	case OpAtomic:
-		return "atomic"
-	case OpFetchAtomic:
-		return "fetch-atomic"
 	default:
 		return fmt.Sprintf("OpKind(%d)", int(k))
-	}
-}
-
-// AtomicOp enumerates the remote atomic operations (a subset of the
-// Portals 4 atomic op list sufficient for the evaluated workloads).
-type AtomicOp int
-
-const (
-	// AtomicSum adds the operand to the target cell.
-	AtomicSum AtomicOp = iota
-	// AtomicMin stores min(cell, operand).
-	AtomicMin
-	// AtomicMax stores max(cell, operand).
-	AtomicMax
-	// AtomicSwap stores the operand and returns the prior value.
-	AtomicSwap
-)
-
-func (o AtomicOp) String() string {
-	switch o {
-	case AtomicSum:
-		return "sum"
-	case AtomicMin:
-		return "min"
-	case AtomicMax:
-		return "max"
-	case AtomicSwap:
-		return "swap"
-	default:
-		return fmt.Sprintf("AtomicOp(%d)", int(o))
 	}
 }
 
@@ -94,10 +54,8 @@ type Command struct {
 	MatchBits uint64 // addresses the remote region
 	Size      int64  // payload bytes
 	Data      any    // opaque payload forwarded to the target region
-	// Atomic selects the operation of OpAtomic / OpFetchAtomic commands.
-	Atomic AtomicOp
 	// LocalCompletion, when non-nil, is incremented once the local buffer
-	// is reusable (put: after DMA read; get/fetch-atomic: after the reply
+	// is reusable (put: after DMA read; get: after the reply
 	// lands) — the GPU-visible completion hook of §4.2.4.
 	LocalCompletion *sim.Counter
 	// OnLocalComplete, when non-nil, runs at local completion time.
@@ -114,7 +72,7 @@ type Deferred func() any
 // Delivery describes an inbound operation handed to a target region.
 type Delivery struct {
 	// Kind is the operation that hit the region: OpPut for landings,
-	// OpGet for served reads, OpAtomic/OpFetchAtomic for atomics.
+	// OpGet for served reads.
 	Kind      OpKind
 	From      network.NodeID
 	MatchBits uint64
@@ -126,15 +84,12 @@ type Delivery struct {
 // Region is a match-bits-exposed landing zone for one-sided operations,
 // analogous to a Portals list entry on a priority list. Regions are
 // searched in exposure order; the first entry whose (MatchBits,
-// IgnoreBits, Src) accepts the inbound operation wins.
+// IgnoreBits) accepts the inbound operation wins.
 type Region struct {
 	MatchBits uint64
 	// IgnoreBits masks bits out of the match comparison (Portals ME
 	// ignore bits); a region with all bits ignored is a wildcard.
 	IgnoreBits uint64
-	// SrcMatch, when true, restricts the region to messages from Src.
-	SrcMatch bool
-	Src      network.NodeID
 	// UseOnce unlinks the region after its first match (PTL_ME_USE_ONCE).
 	UseOnce bool
 	// Counter, when non-nil, is incremented once per completed delivery —
@@ -145,26 +100,11 @@ type Region struct {
 	OnDelivery func(d Delivery)
 	// ReadBack, when non-nil, serves OpGet requests for this region.
 	ReadBack func(size int64) any
-	// ApplyAtomic, when non-nil, serves OpAtomic/OpFetchAtomic requests:
-	// it applies the operation to the region's storage and returns the
-	// prior value. Atomic operations to regions without it panic.
-	ApplyAtomic func(op AtomicOp, operand any) (prior any)
-	// Gate, when non-nil, is consulted before each delivery: false means
-	// the region's portal is flow-control disabled and the message is
-	// dropped (counted in FlowCtlDrops), Portals-style. The region is not
-	// unlinked by a gated delivery, even with UseOnce.
-	Gate func() bool
 }
 
 // accepts reports whether the region matches an inbound operation.
-func (r *Region) accepts(matchBits uint64, src network.NodeID) bool {
-	if (r.MatchBits &^ r.IgnoreBits) != (matchBits &^ r.IgnoreBits) {
-		return false
-	}
-	if r.SrcMatch && r.Src != src {
-		return false
-	}
-	return true
+func (r *Region) accepts(matchBits uint64) bool {
+	return (r.MatchBits &^ r.IgnoreBits) == (matchBits &^ r.IgnoreBits)
 }
 
 // LookupModel abstracts the trigger-list tag-match hardware (§3.3): the
@@ -268,12 +208,9 @@ type wireMeta struct {
 	kind      OpKind
 	matchBits uint64
 	data      any
-	// get / fetch-atomic support
+	// get support
 	replyMatch uint64
 	reqSize    int64
-	// atomic support
-	atomicOp AtomicOp
-	fetch    bool
 	// end-to-end payload checksum (e2eHas gates verification so frames
 	// from checksum-less sources pass vacuously)
 	e2eSum uint32
@@ -300,7 +237,6 @@ type Stats struct {
 	CmdQueueStalls       int64 // PostCommand calls that blocked on a full queue
 	CmdDeferred          int64 // non-blocking commands deferred by a full queue
 	RegistrationRejects  int64 // RegisterTriggered calls rejected (list full)
-	FlowCtlDrops         int64 // deliveries dropped by a disabled portal gate
 
 	// Reliable-delivery counters (all zero when reliability is off).
 	Retransmits       int64 // data frames resent after timeout or NACK
@@ -601,24 +537,17 @@ func (n *NIC) ExposeRegion(r *Region) {
 }
 
 // matchRegion locates (and, for use-once entries, unlinks) the first
-// region accepting the operation. It returns (nil, false) when nothing
-// matches and (nil, true) when the matching region's Gate refused the
-// delivery — a Portals-style flow-control drop the caller must absorb
-// silently (the sender's recovery path resends after re-enable).
-func (n *NIC) matchRegion(matchBits uint64, src network.NodeID) (*Region, bool) {
+// region accepting the operation, or returns nil when nothing matches.
+func (n *NIC) matchRegion(matchBits uint64) *Region {
 	for i, r := range n.regions {
-		if r.accepts(matchBits, src) {
-			if r.Gate != nil && !r.Gate() {
-				n.stats.FlowCtlDrops++
-				return nil, true
-			}
+		if r.accepts(matchBits) {
 			if r.UseOnce {
 				n.regions = append(n.regions[:i], n.regions[i+1:]...)
 			}
-			return r, false
+			return r
 		}
 	}
-	return nil, false
+	return nil
 }
 
 // PostCommand rings the NIC doorbell with a staged command. The caller
@@ -984,8 +913,6 @@ func (n *NIC) runCommand(p *sim.Proc, c *Command) {
 		n.execPut(p, c, ep)
 	case OpGet:
 		n.execGet(p, c, ep)
-	case OpAtomic, OpFetchAtomic:
-		n.execAtomic(p, c, ep)
 	default:
 		panic(fmt.Sprintf("nic: unknown op kind %v", c.Kind))
 	}
@@ -1208,8 +1135,6 @@ func (n *NIC) dispatch(m *network.Message, meta *wireMeta) {
 		n.deliverPut(m, meta)
 	case "get_req":
 		n.serveGet(m, meta)
-	case "atomic":
-		n.serveAtomic(m, meta)
 	default:
 		panic(fmt.Sprintf("nic %d: unknown message kind %q", n.id, m.Kind))
 	}
@@ -1231,10 +1156,7 @@ func (n *NIC) unmatched(what string, mb uint64, src network.NodeID) bool {
 }
 
 func (n *NIC) deliverPut(m *network.Message, meta *wireMeta) {
-	r, gated := n.matchRegion(meta.matchBits, m.Src)
-	if gated {
-		return
-	}
+	r := n.matchRegion(meta.matchBits)
 	if r == nil {
 		if n.unmatched("put", meta.matchBits, m.Src) {
 			return
@@ -1260,10 +1182,7 @@ func (n *NIC) deliverPut(m *network.Message, meta *wireMeta) {
 }
 
 func (n *NIC) serveGet(m *network.Message, meta *wireMeta) {
-	r, gated := n.matchRegion(meta.matchBits, m.Src)
-	if gated {
-		return
-	}
+	r := n.matchRegion(meta.matchBits)
 	if r == nil {
 		if n.unmatched("get", meta.matchBits, m.Src) {
 			return
@@ -1301,153 +1220,4 @@ func (n *NIC) serveGet(m *network.Message, meta *wireMeta) {
 			},
 		})
 	})
-}
-
-// execAtomic issues an OpAtomic/OpFetchAtomic: a small wire message
-// carrying the operand. Fetch variants expose a use-once reply region
-// exactly like gets.
-func (n *NIC) execAtomic(p *sim.Proc, c *Command, ep int64) {
-	p.Sleep(n.dmaTime(c.Size))
-	if n.fenced(ep) {
-		n.stats.FencedCommands++
-		return
-	}
-	operand := c.Data
-	if f, ok := operand.(Deferred); ok {
-		operand = f()
-	}
-	meta := &wireMeta{
-		kind:      c.Kind,
-		matchBits: c.MatchBits,
-		atomicOp:  c.Atomic,
-		fetch:     c.Kind == OpFetchAtomic,
-		reqSize:   c.Size,
-	}
-	var summed bool
-	operand, summed = n.e2ePrepare(meta, operand)
-	if summed && n.cfg.E2EChecksumLatency > 0 {
-		p.Sleep(n.cfg.E2EChecksumLatency)
-		if n.fenced(ep) {
-			n.stats.FencedCommands++
-			return
-		}
-	}
-	if sdc := n.inj.SDC(); sdc != nil {
-		if cp, ok := operand.(Corruptible); ok && sdc.BufferCorrupt(n.eng.Now(), int(n.id)) {
-			operand = cp.CorruptCopy()
-		}
-	}
-	meta.data = operand
-	if meta.fetch {
-		n.replySeq++
-		meta.replyMatch = 0x4641455400000000 | n.replySeq
-		done := c
-		n.ExposeRegion(&Region{
-			MatchBits: meta.replyMatch,
-			UseOnce:   true,
-			OnDelivery: func(d Delivery) {
-				done.Data = d.Data
-				n.complete(done)
-			},
-		})
-	}
-	n.send(&network.Message{
-		Src: n.id, Dst: c.Target, Size: c.Size, Kind: "atomic", Payload: meta,
-	})
-	if !meta.fetch {
-		// Plain atomics complete locally once the operand is on the wire.
-		n.complete(c)
-	}
-}
-
-// serveAtomic applies an inbound atomic to the matched region and, for
-// fetch variants, replies with the prior value.
-func (n *NIC) serveAtomic(m *network.Message, meta *wireMeta) {
-	r, gated := n.matchRegion(meta.matchBits, m.Src)
-	if gated {
-		return
-	}
-	if r == nil {
-		if n.unmatched("atomic", meta.matchBits, m.Src) {
-			return
-		}
-	}
-	if r.ApplyAtomic == nil {
-		panic(fmt.Sprintf("nic %d: atomic to region %#x without ApplyAtomic", n.id, r.MatchBits))
-	}
-	dma := n.dmaTime(m.Size)
-	src := m.Src
-	ep := n.inc
-	n.eng.After(dma, func() {
-		if n.fenced(ep) {
-			n.stats.FencedDeliveries++
-			return
-		}
-		n.stats.DeliveredMessages++
-		prior := r.ApplyAtomic(meta.atomicOp, meta.data)
-		if r.Counter != nil {
-			r.Counter.Add(1)
-		}
-		if r.OnDelivery != nil {
-			r.OnDelivery(Delivery{Kind: meta.kind, From: src, MatchBits: meta.matchBits, Size: m.Size, Data: meta.data, At: n.eng.Now()})
-		}
-		if meta.fetch {
-			n.send(&network.Message{
-				Src: n.id, Dst: src, Size: meta.reqSize, Kind: "put",
-				Payload: &wireMeta{kind: OpPut, matchBits: meta.replyMatch, data: prior},
-			})
-		}
-	})
-}
-
-// ApplyAtomicInt64 is a ready-made ApplyAtomic implementation over an
-// int64 cell.
-func ApplyAtomicInt64(cell *int64) func(op AtomicOp, operand any) any {
-	return func(op AtomicOp, operand any) any {
-		prior := *cell
-		v := operand.(int64)
-		switch op {
-		case AtomicSum:
-			*cell += v
-		case AtomicMin:
-			if v < *cell {
-				*cell = v
-			}
-		case AtomicMax:
-			if v > *cell {
-				*cell = v
-			}
-		case AtomicSwap:
-			*cell = v
-		default:
-			panic(fmt.Sprintf("nic: unsupported atomic op %v", op))
-		}
-		return prior
-	}
-}
-
-// ApplyAtomicFloat64 is a ready-made ApplyAtomic implementation over a
-// float64 cell.
-func ApplyAtomicFloat64(cell *float64) func(op AtomicOp, operand any) any {
-	return func(op AtomicOp, operand any) any {
-		prior := *cell
-		v := operand.(float64)
-		switch op {
-		case AtomicSum:
-			*cell += v
-		case AtomicMin:
-			if v < *cell {
-				*cell = v
-			}
-		case AtomicMax:
-			if v > *cell {
-				*cell = v
-			}
-		case AtomicSwap:
-			*cell = v
-		default:
-			panic(fmt.Sprintf("nic: unsupported atomic op %v", op))
-		}
-		return prior
-	}
 }

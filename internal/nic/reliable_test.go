@@ -227,9 +227,9 @@ func TestReliableDeterministicReplay(t *testing.T) {
 	}
 }
 
-// Gets and atomics also ride the reliable channel: a lossy fabric must not
-// lose a get reply or an atomic fetch result.
-func TestReliableGetAndAtomicUnderLoss(t *testing.T) {
+// Gets also ride the reliable channel: a lossy fabric must not lose a get
+// request or its reply.
+func TestReliableGetUnderLoss(t *testing.T) {
 	r := newRelRig(t, 2, relDefaults(), config.FaultConfig{Seed: 21, DropProb: 0.25})
 	r.nics[1].ExposeRegion(&Region{
 		MatchBits: 0x20,

@@ -10,7 +10,7 @@ import (
 // is explicitly a small NIC structure ("the trigger list can be held in a
 // small amount of NIC memory"); real Portals NICs likewise bound their
 // event and command queues. config.ResourceConfig makes each capacity
-// explicit, and this layer enforces it with typed errors, flow-control
+// explicit, and this layer enforces it with typed errors, counted
 // drops, and high-water accounting — instead of silent unbounded growth.
 // Every check is pay-for-use: a zero-valued ResourceConfig leaves the data
 // path bit-for-bit identical to the unbounded seed behavior.

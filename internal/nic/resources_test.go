@@ -221,7 +221,7 @@ func TestResourceConfigValidation(t *testing.T) {
 		t.Error("placeholder budget above trigger capacity validated")
 	}
 	cfg = config.Default()
-	cfg.NIC.Resources = config.ResourceConfig{TriggerEntries: 4, PlaceholderEntries: 2, CmdQueueDepth: 8, EQDepth: 16}
+	cfg.NIC.Resources = config.ResourceConfig{TriggerEntries: 4, PlaceholderEntries: 2, CmdQueueDepth: 8}
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("valid resource config rejected: %v", err)
 	}

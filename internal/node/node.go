@@ -424,9 +424,9 @@ func (c *Cluster) StatsReport() string {
 			c.Fabric.BytesSent(network.NodeID(nd.Index)),
 			c.Fabric.BytesDelivered(network.NodeID(nd.Index)),
 			c.Fabric.MessagesDelivered(network.NodeID(nd.Index)))
-		if ns.CmdQueueStalls+ns.CmdDeferred+ns.RegistrationRejects+ns.FlowCtlDrops > 0 {
-			fmt.Fprintf(&b, "         res{cmdStalls=%d cmdDeferred=%d rejects=%d flowCtlDrops=%d cmdqHW=%d fifoHW=%d placeholderHW=%d}\n",
-				ns.CmdQueueStalls, ns.CmdDeferred, ns.RegistrationRejects, ns.FlowCtlDrops,
+		if ns.CmdQueueStalls+ns.CmdDeferred+ns.RegistrationRejects > 0 {
+			fmt.Fprintf(&b, "         res{cmdStalls=%d cmdDeferred=%d rejects=%d cmdqHW=%d fifoHW=%d placeholderHW=%d}\n",
+				ns.CmdQueueStalls, ns.CmdDeferred, ns.RegistrationRejects,
 				ns.CmdQueueHighWater, ns.TrigFIFOHighWater, ns.PlaceholderHighWater)
 		}
 		if ns.Retransmits+ns.AcksSent+ns.NacksSent+ns.DupesDropped+ns.CorruptDropped+ns.PeersDeclaredDead+ns.LostTriggerWrites > 0 {

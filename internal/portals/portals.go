@@ -55,14 +55,12 @@ func (c *CT) Inc(n int64) { c.ctr.Add(n) }
 func (c *CT) Raw() *sim.Counter { return c.ctr }
 
 // MD is a memory descriptor: a registered local buffer with an optional CT
-// counting local completions (send-buffer reuse safety, §4.2.4) and an
-// optional EQ receiving full SEND/REPLY events.
+// counting local completions (send-buffer reuse safety, §4.2.4).
 type MD struct {
 	Name   string
 	Length int64
 	Data   any
 	CT     *CT
-	EQ     *EQ
 }
 
 // ME is a match entry: a region exposed for one-sided access, with an
@@ -161,13 +159,6 @@ func (r *Runtime) buildPut(md *MD, size int64, target int, matchBits uint64) *ni
 	if md.CT != nil {
 		c.LocalCompletion = md.CT.Raw()
 	}
-	if md.EQ != nil {
-		eq := md.EQ
-		sz := size
-		c.OnLocalComplete = func() {
-			eq.post(Event{Kind: EventSend, Initiator: network.NodeID(r.rank), Size: sz, At: r.eng.Now()})
-		}
-	}
 	return c
 }
 
@@ -200,15 +191,9 @@ func (r *Runtime) Get(p *sim.Proc, md *MD, size int64, target int, matchBits uin
 	if md.CT != nil {
 		c.LocalCompletion = md.CT.Raw()
 	}
-	cc := c
-	eq := md.EQ
-	c.OnLocalComplete = func() {
-		if onData != nil {
-			onData(cc.Data)
-		}
-		if eq != nil {
-			eq.post(Event{Kind: EventReply, Initiator: network.NodeID(r.rank), Size: cc.Size, Data: cc.Data, At: r.eng.Now()})
-		}
+	if onData != nil {
+		cc := c
+		c.OnLocalComplete = func() { onData(cc.Data) }
 	}
 	r.nic.PostCommand(p, c)
 }

@@ -253,3 +253,48 @@ func TestCTWaitTimeout(t *testing.T) {
 		t.Fatalf("ct = %d", ct.Value())
 	}
 }
+
+// exposeCounted exposes a NIC region on rank i whose deliveries bump a
+// fresh CT, for the match-semantics tests below.
+func (w *world) exposeCounted(i int, r *nic.Region) *CT {
+	ct := w.rts[i].CTAlloc()
+	r.Counter = ct.Raw()
+	w.rts[i].NIC().ExposeRegion(r)
+	return ct
+}
+
+func TestMEUseOnce(t *testing.T) {
+	w := newWorld(t, 2)
+	r0 := w.rts[0]
+	onceCT := w.exposeCounted(1, &nic.Region{MatchBits: 0xE1, UseOnce: true})
+	fallbackCT := w.exposeCounted(1, &nic.Region{MatchBits: 0xE1})
+	w.eng.Go("send", func(p *sim.Proc) {
+		md := r0.MDBind("b", 8, nil, nil)
+		r0.Put(p, md, 8, 1, 0xE1)
+		r0.Put(p, md, 8, 1, 0xE1)
+		r0.Put(p, md, 8, 1, 0xE1)
+	})
+	w.eng.Run()
+	if onceCT.Value() != 1 {
+		t.Fatalf("use-once entry matched %d times", onceCT.Value())
+	}
+	if fallbackCT.Value() != 2 {
+		t.Fatalf("fallback matched %d times, want 2", fallbackCT.Value())
+	}
+}
+
+func TestMEIgnoreBitsWildcard(t *testing.T) {
+	w := newWorld(t, 2)
+	r0 := w.rts[0]
+	// Match any low byte under prefix 0xAB00.
+	ct := w.exposeCounted(1, &nic.Region{MatchBits: 0xAB00, IgnoreBits: 0xFF})
+	w.eng.Go("send", func(p *sim.Proc) {
+		md := r0.MDBind("b", 8, nil, nil)
+		r0.Put(p, md, 8, 1, 0xAB07)
+		r0.Put(p, md, 8, 1, 0xAB99)
+	})
+	w.eng.Run()
+	if ct.Value() != 2 {
+		t.Fatalf("wildcard matched %d, want 2", ct.Value())
+	}
+}

@@ -48,23 +48,6 @@ func WriteSeriesCSV(w io.Writer, xlabel string, series []*Series) error {
 	return cw.Error()
 }
 
-// WriteTableCSV emits a Table as CSV (headers then rows).
-func WriteTableCSV(w io.Writer, t *Table) error {
-	cw := csv.NewWriter(w)
-	if len(t.Headers) > 0 {
-		if err := cw.Write(t.Headers); err != nil {
-			return err
-		}
-	}
-	for _, r := range t.Rows {
-		if err := cw.Write(r); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 func formatCell(y float64) string {
 	if math.IsNaN(y) || math.IsInf(y, 0) {
 		return ""

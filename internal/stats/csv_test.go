@@ -36,19 +36,6 @@ func TestWriteSeriesCSV(t *testing.T) {
 	}
 }
 
-func TestWriteTableCSV(t *testing.T) {
-	tbl := &Table{Headers: []string{"h1", "h2"}}
-	tbl.AddRow("a", "b")
-	var buf bytes.Buffer
-	if err := WriteTableCSV(&buf, tbl); err != nil {
-		t.Fatal(err)
-	}
-	rows, _ := csv.NewReader(&buf).ReadAll()
-	if len(rows) != 2 || rows[1][0] != "a" {
-		t.Fatalf("rows = %v", rows)
-	}
-}
-
 func TestFormatCellSpecials(t *testing.T) {
 	if formatCell(math.NaN()) != "" || formatCell(math.Inf(1)) != "" {
 		t.Fatal("non-finite cells should be empty")

@@ -1,5 +1,5 @@
-// Package stats provides measurement accumulators, series, and plain-text
-// table/series renderers used by the experiment harness.
+// Package stats provides series, tables and their plain-text and CSV
+// renderers used by the experiment harness.
 package stats
 
 import (
@@ -8,149 +8,6 @@ import (
 	"sort"
 	"strings"
 )
-
-// Accumulator collects scalar samples and reports summary statistics.
-// The zero value is ready to use.
-type Accumulator struct {
-	n              int64
-	sum, sumsq     float64
-	min, max       float64
-	samples        []float64
-	keepSamples    bool
-	samplesSkipped bool
-}
-
-// NewAccumulator returns an accumulator that also retains raw samples so
-// percentiles can be computed. The zero Accumulator keeps only moments.
-func NewAccumulator() *Accumulator { return &Accumulator{keepSamples: true} }
-
-// Add records one sample.
-func (a *Accumulator) Add(v float64) {
-	if a.n == 0 || v < a.min {
-		a.min = v
-	}
-	if a.n == 0 || v > a.max {
-		a.max = v
-	}
-	a.n++
-	a.sum += v
-	a.sumsq += v * v
-	if a.keepSamples {
-		a.samples = append(a.samples, v)
-	} else {
-		a.samplesSkipped = true
-	}
-}
-
-// N returns the sample count.
-func (a *Accumulator) N() int64 { return a.n }
-
-// Sum returns the sum of samples.
-func (a *Accumulator) Sum() float64 { return a.sum }
-
-// Mean returns the sample mean, or 0 with no samples.
-func (a *Accumulator) Mean() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return a.sum / float64(a.n)
-}
-
-// Min returns the smallest sample, or 0 with no samples.
-func (a *Accumulator) Min() float64 { return a.min }
-
-// Max returns the largest sample, or 0 with no samples.
-func (a *Accumulator) Max() float64 { return a.max }
-
-// Variance returns the population variance.
-func (a *Accumulator) Variance() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	m := a.Mean()
-	v := a.sumsq/float64(a.n) - m*m
-	if v < 0 { // numerical noise
-		return 0
-	}
-	return v
-}
-
-// StdDev returns the population standard deviation.
-func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) using linear
-// interpolation. It panics if samples were not retained.
-func (a *Accumulator) Percentile(p float64) float64 {
-	if !a.keepSamples {
-		panic("stats: Percentile requires NewAccumulator (sample retention)")
-	}
-	if len(a.samples) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), a.samples...)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// Median returns the 50th percentile.
-func (a *Accumulator) Median() float64 { return a.Percentile(50) }
-
-// Histogram counts samples into fixed-width bins over [lo, hi).
-// Out-of-range samples land in saturating end bins.
-type Histogram struct {
-	lo, hi float64
-	bins   []int64
-	n      int64
-}
-
-// NewHistogram creates a histogram with nbins bins over [lo, hi).
-func NewHistogram(lo, hi float64, nbins int) *Histogram {
-	if nbins <= 0 || hi <= lo {
-		panic("stats: invalid histogram parameters")
-	}
-	return &Histogram{lo: lo, hi: hi, bins: make([]int64, nbins)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(v float64) {
-	idx := int((v - h.lo) / (h.hi - h.lo) * float64(len(h.bins)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.bins) {
-		idx = len(h.bins) - 1
-	}
-	h.bins[idx]++
-	h.n++
-}
-
-// N returns the total sample count.
-func (h *Histogram) N() int64 { return h.n }
-
-// Bin returns the count in bin i.
-func (h *Histogram) Bin(i int) int64 { return h.bins[i] }
-
-// NumBins returns the number of bins.
-func (h *Histogram) NumBins() int { return len(h.bins) }
-
-// BinBounds returns the [lo, hi) range of bin i.
-func (h *Histogram) BinBounds(i int) (lo, hi float64) {
-	w := (h.hi - h.lo) / float64(len(h.bins))
-	return h.lo + float64(i)*w, h.lo + float64(i+1)*w
-}
 
 // Point is one (X, Y) sample of a Series.
 type Point struct {

@@ -2,151 +2,11 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
-
-func TestAccumulatorBasics(t *testing.T) {
-	a := NewAccumulator()
-	for _, v := range []float64{1, 2, 3, 4, 5} {
-		a.Add(v)
-	}
-	if a.N() != 5 {
-		t.Fatalf("N = %d", a.N())
-	}
-	if !almost(a.Sum(), 15) || !almost(a.Mean(), 3) {
-		t.Fatalf("Sum/Mean = %v/%v", a.Sum(), a.Mean())
-	}
-	if a.Min() != 1 || a.Max() != 5 {
-		t.Fatalf("Min/Max = %v/%v", a.Min(), a.Max())
-	}
-	if !almost(a.Variance(), 2) {
-		t.Fatalf("Variance = %v", a.Variance())
-	}
-	if !almost(a.StdDev(), math.Sqrt(2)) {
-		t.Fatalf("StdDev = %v", a.StdDev())
-	}
-	if !almost(a.Median(), 3) {
-		t.Fatalf("Median = %v", a.Median())
-	}
-}
-
-func TestAccumulatorEmpty(t *testing.T) {
-	var a Accumulator
-	if a.Mean() != 0 || a.Variance() != 0 || a.Min() != 0 || a.Max() != 0 {
-		t.Fatal("empty accumulator should report zeros")
-	}
-}
-
-func TestAccumulatorPercentile(t *testing.T) {
-	a := NewAccumulator()
-	for i := 1; i <= 100; i++ {
-		a.Add(float64(i))
-	}
-	if got := a.Percentile(0); got != 1 {
-		t.Errorf("P0 = %v", got)
-	}
-	if got := a.Percentile(100); got != 100 {
-		t.Errorf("P100 = %v", got)
-	}
-	if got := a.Percentile(50); !almost(got, 50.5) {
-		t.Errorf("P50 = %v", got)
-	}
-}
-
-func TestPercentileRequiresRetention(t *testing.T) {
-	var a Accumulator
-	a.Add(1)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	a.Percentile(50)
-}
-
-// Property: mean is always within [min, max]; variance is non-negative.
-func TestAccumulatorProperty(t *testing.T) {
-	f := func(vs []float64) bool {
-		a := NewAccumulator()
-		ok := true
-		for _, v := range vs {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				continue
-			}
-			// Scale down to avoid float overflow in sumsq.
-			a.Add(math.Mod(v, 1e6))
-		}
-		if a.N() > 0 {
-			m := a.Mean()
-			ok = m >= a.Min()-1e-6 && m <= a.Max()+1e-6 && a.Variance() >= 0
-		}
-		return ok
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 100} {
-		h.Add(v)
-	}
-	if h.N() != 8 {
-		t.Fatalf("N = %d", h.N())
-	}
-	// bins: [0,2) [2,4) [4,6) [6,8) [8,10)
-	wantBins := []int64{3, 1, 1, 0, 3}
-	for i, w := range wantBins {
-		if h.Bin(i) != w {
-			t.Errorf("bin %d = %d, want %d", i, h.Bin(i), w)
-		}
-	}
-	lo, hi := h.BinBounds(1)
-	if lo != 2 || hi != 4 {
-		t.Errorf("BinBounds(1) = %v,%v", lo, hi)
-	}
-	if h.NumBins() != 5 {
-		t.Errorf("NumBins = %d", h.NumBins())
-	}
-}
-
-func TestHistogramInvalid(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewHistogram(5, 5, 3)
-}
-
-// Property: histogram conserves samples.
-func TestHistogramConservation(t *testing.T) {
-	f := func(vs []float64) bool {
-		h := NewHistogram(-100, 100, 13)
-		n := int64(0)
-		for _, v := range vs {
-			if math.IsNaN(v) {
-				continue
-			}
-			h.Add(v)
-			n++
-		}
-		total := int64(0)
-		for i := 0; i < h.NumBins(); i++ {
-			total += h.Bin(i)
-		}
-		return total == n && h.N() == n
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestSeries(t *testing.T) {
 	s := &Series{Name: "gputn"}
@@ -224,33 +84,4 @@ func TestGeoMean(t *testing.T) {
 		}
 	}()
 	GeoMean([]float64{1, 0})
-}
-
-// Property: sorting retained samples never changes percentile endpoints.
-func TestPercentileBounds(t *testing.T) {
-	f := func(vs []float64) bool {
-		a := NewAccumulator()
-		var clean []float64
-		for _, v := range vs {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				continue
-			}
-			a.Add(v)
-			clean = append(clean, v)
-		}
-		if len(clean) == 0 {
-			return true
-		}
-		sort.Float64s(clean)
-		for _, p := range []float64{0, 25, 50, 75, 100} {
-			got := a.Percentile(p)
-			if got < clean[0] || got > clean[len(clean)-1] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -8,8 +8,7 @@ import (
 )
 
 // chromeEvent is one entry of the Chrome trace-event format ("X" complete
-// events and "i" instant events), loadable in chrome://tracing and
-// Perfetto.
+// events), loadable in chrome://tracing and Perfetto.
 type chromeEvent struct {
 	Name  string `json:"name"`
 	Phase string `json:"ph"`
@@ -18,27 +17,19 @@ type chromeEvent struct {
 	Dur float64 `json:"dur,omitempty"`
 	PID int     `json:"pid"`
 	TID int     `json:"tid"`
-	// Scope is required for instant events.
-	Scope string `json:"s,omitempty"`
 }
 
-// WriteChromeTrace serializes the tracer's spans and marks as a Chrome
+// WriteChromeTrace serializes the tracer's spans as a Chrome
 // trace-event JSON array. Each actor becomes one thread row; rows are
 // ordered by actor name for determinism.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	actors := map[string]int{}
 	var names []string
-	collect := func(a string) {
-		if _, ok := actors[a]; !ok {
-			actors[a] = 0
-			names = append(names, a)
-		}
-	}
 	for _, s := range t.Spans() {
-		collect(s.Actor)
-	}
-	for _, m := range t.Marks() {
-		collect(m.Actor)
+		if _, ok := actors[s.Actor]; !ok {
+			actors[s.Actor] = 0
+			names = append(names, s.Actor)
+		}
 	}
 	sort.Strings(names)
 	for i, n := range names {
@@ -57,12 +48,6 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			Name: s.Label, Phase: "X",
 			TS: s.Start.Us(), Dur: s.Duration().Us(),
 			PID: 1, TID: actors[s.Actor],
-		})
-	}
-	for _, m := range t.Marks() {
-		events = append(events, chromeEvent{
-			Name: m.Label, Phase: "i", TS: m.At.Us(),
-			PID: 1, TID: actors[m.Actor], Scope: "t",
 		})
 	}
 

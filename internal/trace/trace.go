@@ -22,26 +22,18 @@ type Span struct {
 // Duration returns End - Start.
 func (s Span) Duration() sim.Time { return s.End - s.Start }
 
-// Tracer accumulates spans and point marks. The zero value is unusable;
+// Tracer accumulates spans. The zero value is unusable;
 // create one with New. A nil *Tracer is valid and discards everything, so
 // models can trace unconditionally.
 type Tracer struct {
 	eng   *sim.Engine
 	spans []Span
 	open  map[string]openSpan // key: actor + "\x00" + label
-	marks []Mark
 }
 
 type openSpan struct {
 	actor, label string
 	start        sim.Time
-}
-
-// Mark is a labeled instant.
-type Mark struct {
-	Actor string
-	Label string
-	At    sim.Time
 }
 
 // New creates a Tracer bound to the engine's clock.
@@ -89,28 +81,12 @@ func (t *Tracer) Record(actor, label string, start, end sim.Time) {
 	t.spans = append(t.spans, Span{Actor: actor, Label: label, Start: start, End: end})
 }
 
-// MarkNow records a labeled instant at the current time.
-func (t *Tracer) MarkNow(actor, label string) {
-	if t == nil {
-		return
-	}
-	t.marks = append(t.marks, Mark{Actor: actor, Label: label, At: t.eng.Now()})
-}
-
 // Spans returns all completed spans in record order.
 func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
 	return t.spans
-}
-
-// Marks returns all point marks in record order.
-func (t *Tracer) Marks() []Mark {
-	if t == nil {
-		return nil
-	}
-	return t.marks
 }
 
 // OpenCount reports how many spans are currently open (should be zero at
@@ -146,16 +122,6 @@ func (t *Tracer) TotalByLabel() map[string]map[string]sim.Time {
 		m[s.Label] += s.Duration()
 	}
 	return out
-}
-
-// FirstMark returns the earliest mark with the given actor and label.
-func (t *Tracer) FirstMark(actor, label string) (Mark, bool) {
-	for _, m := range t.Marks() {
-		if m.Actor == actor && m.Label == label {
-			return m, true
-		}
-	}
-	return Mark{}, false
 }
 
 // Render returns a human-readable per-actor timeline, one line per span,

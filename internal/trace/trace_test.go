@@ -77,31 +77,8 @@ func TestNilTracerIsSafe(t *testing.T) {
 	tr.Begin("a", "x")
 	tr.End("a", "x") // would panic on a real tracer without Begin; nil discards
 	tr.Record("a", "x", 0, 1)
-	tr.MarkNow("a", "m")
-	if tr.Spans() != nil || tr.Marks() != nil || tr.OpenCount() != 0 {
+	if tr.Spans() != nil || tr.OpenCount() != 0 {
 		t.Fatal("nil tracer must report empty")
-	}
-}
-
-func TestMarksAndFirstMark(t *testing.T) {
-	e := sim.NewEngine()
-	tr := New(e)
-	e.Go("p", func(p *sim.Proc) {
-		p.Sleep(100)
-		tr.MarkNow("target", "recv")
-		p.Sleep(100)
-		tr.MarkNow("target", "recv")
-	})
-	e.Run()
-	m, ok := tr.FirstMark("target", "recv")
-	if !ok || m.At != 100 {
-		t.Fatalf("FirstMark = %+v, %v", m, ok)
-	}
-	if _, ok := tr.FirstMark("target", "nope"); ok {
-		t.Fatal("unexpected mark")
-	}
-	if len(tr.Marks()) != 2 {
-		t.Fatalf("Marks = %d", len(tr.Marks()))
 	}
 }
 
