@@ -2,10 +2,10 @@ package sim
 
 import "testing"
 
-// BenchmarkSchedule measures the steady-state schedule+fire path: one heap
-// push and one pop per iteration against a warmed arena. The acceptance
-// bar is 0 allocs/op — the free list and heap capacity must absorb the
-// churn entirely.
+// BenchmarkSchedule measures the steady-state schedule+fire path: one
+// future push and one pop per iteration against a warmed arena. The
+// acceptance bar is 0 allocs/op — the free list and the instant queue's
+// capacity must absorb the churn entirely.
 func BenchmarkSchedule(b *testing.B) {
 	e := NewEngine()
 	fn := func() {}
@@ -23,7 +23,7 @@ func BenchmarkSchedule(b *testing.B) {
 }
 
 // BenchmarkScheduleNow measures the same-time fast path: schedules at the
-// current instant bypass the heap through the nowq FIFO ring.
+// current instant bypass the instant queue through the nowq FIFO ring.
 func BenchmarkScheduleNow(b *testing.B) {
 	e := NewEngine()
 	fn := func() {}
@@ -92,10 +92,11 @@ func BenchmarkProcSpawn(b *testing.B) {
 // BenchmarkFanOutSleep measures the work-group fan-out shape: one Counter
 // wakes 64 processes, each sleeps the same lag and then schedules an event
 // at the same offset, like a kernel's work-groups each posting a trigger
-// write. Each burst shares one birth, so it rides a same-birth run. A
-// standing backlog of 512 far-future events gives the heap the depth of a
-// 16-node ring Allreduce (mean heap size 485). One op is one round of the
-// fan-out; ns/event divides by every event fired.
+// write. Each burst shares one birth, so it lands in one instant in key
+// order and is never sorted. A standing backlog of 512 far-future events
+// gives the queue the depth of a 16-node ring Allreduce (485 future events
+// queued on average). One op is one round of the fan-out; ns/event divides
+// by every event fired.
 func BenchmarkFanOutSleep(b *testing.B) {
 	const width = 64
 	e := NewEngine()
@@ -126,6 +127,41 @@ func BenchmarkFanOutSleep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(e.Executed()-warm), "ns/event")
+}
+
+// BenchmarkLockstepLanes measures the halo exchange's lockstep shape: 1024
+// lanes, one per node, fire at the same instants and each schedule the same
+// few future offsets, so thousands of queued events share four times. Per
+// lane and round, a tick schedules an echo, the next tick and a leaf; the
+// echo schedules a pong due with the next tick, and the pong schedules a
+// leaf too. Ticks and pongs fire at one time with different births, so the
+// leaves they push arrive lane 0..1023 twice over: out of key order, as
+// halo-fattree's do. One op is one round (five events a lane); ns/event
+// divides by every event fired.
+func BenchmarkLockstepLanes(b *testing.B) {
+	const lanes, period = 1024, 10
+	e := NewEngine()
+	leaf := func() {}
+	var tick, echo, pong func()
+	tick = func() {
+		e.After(period/2, echo)
+		e.After(period, tick)
+		e.After(3, leaf)
+	}
+	echo = func() { e.After(period/2, pong) }
+	pong = func() { e.After(3, leaf) }
+	for lane := uint32(1); lane <= lanes; lane++ {
+		e.SetLane(lane)
+		e.After(period, tick)
+	}
+	e.SetLane(0)
+	e.RunUntil(2 * period) // the first round warms the arena and queue
+	warm := e.Executed()
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.RunUntil(Time(2+b.N) * period)
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(e.Executed()-warm), "ns/event")
 }

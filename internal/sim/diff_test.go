@@ -170,15 +170,18 @@ func TestDifferentialQueueOrder(t *testing.T) {
 // The birth-order oracle below extends the check to everything the
 // single-lane reference above never exercises: events scheduled from
 // callbacks on several lanes, 64-wide same-delay fan-outs (the work-group
-// shape, which the engine chains into same-birth runs), cancels of a run's
-// head, middle and tail, compaction in the middle of a run, and foreign
-// events pushed with another engine's birth keys. The oracle models the
-// engine's documented semantics with no runs: a set of future events
-// ordered by the full birth key (at, bTime, bLane, bIdx), a FIFO of
-// same-instant events, lazy reclamation of cancelled events at the queue
-// fronts, and compaction once cancelled events outnumber the live heap
-// events. After every operation the engine's pop order, Pending() and
-// every handle's Cancelled() must match it.
+// shape, which lands in one instant in key order), cancels of a fan-out's
+// head, middle and tail, compaction of a part-cancelled instant, foreign
+// events pushed with another engine's birth keys, and peeks (NextAt) at
+// the queue front, each followed by a push into the peeked instant from
+// another engine or from several lanes in descending lane order, a push at
+// an earlier time, or cancels among the peeked instant's events. The oracle
+// models the engine's documented semantics with no instants: a set of
+// future events ordered by the full birth key (at, bTime, bLane, bIdx), a
+// FIFO of same-instant events, lazy reclamation of cancelled events at the
+// queue fronts, and compaction once cancelled events outnumber the live
+// future events. After every operation the engine's pop order, Pending()
+// and every handle's Cancelled() must match it.
 
 // oEvent is one oracle event.
 type oEvent struct {
@@ -276,9 +279,8 @@ func (o *birthOracle) dropCancelled(evs []*oEvent) []*oEvent {
 	return keep
 }
 
-// step reclaims cancelled events at both fronts, then pops the next event:
-// a heap event due now beats the FIFO, the FIFO beats any later heap event.
-func (o *birthOracle) step() *oEvent {
+// drain reclaims cancelled events at both fronts.
+func (o *birthOracle) drain() {
 	for {
 		i := o.heapMin()
 		if i < 0 || !o.heap[i].cancelled {
@@ -292,6 +294,24 @@ func (o *birthOracle) step() *oEvent {
 		o.nowq = o.nowq[1:]
 		o.ncancelled--
 	}
+}
+
+// peek is NextAt: it drains the fronts and reports the next event's time.
+func (o *birthOracle) peek() (Time, bool) {
+	o.drain()
+	if len(o.nowq) > 0 {
+		return o.now, true
+	}
+	if i := o.heapMin(); i >= 0 {
+		return o.heap[i].at, true
+	}
+	return 0, false
+}
+
+// step drains the fronts, then pops the next event: a heap event due now
+// beats the FIFO, the FIFO beats any later heap event.
+func (o *birthOracle) step() *oEvent {
+	o.drain()
 	var ev *oEvent
 	if i := o.heapMin(); i >= 0 && (o.heap[i].at == o.now || len(o.nowq) == 0) {
 		ev = o.removeHeap(i)
@@ -311,9 +331,9 @@ func (o *birthOracle) pending() int {
 
 // lockstep runs one op stream through an engine and the oracle in
 // lockstep. Ops after a pop run inside the fired event's callback, on its
-// lane and at its time, up to the next pop, lane switch or foreign push;
-// those three only run between steps, where the shard coordinator calls
-// PushForeign.
+// lane and at its time, up to the next pop, lane switch, foreign push or
+// peek; those four only run between steps, where the shard coordinator
+// calls PushForeign and NextAt.
 type lockstep struct {
 	tb  testing.TB
 	ops []byte
@@ -329,7 +349,9 @@ type lockstep struct {
 	// maxQueue caps fan-outs at singletons while the queue is longer.
 	maxQueue int
 
-	fired, compactions, runChecks int // coverage counters
+	// Coverage counters: checks and compactions made while an instant
+	// holding two or more events was queued, and peeks at such an instant.
+	fired, compactions, instantChecks, peeks int
 }
 
 const (
@@ -339,7 +361,8 @@ const (
 	opThin     = 8    // cancel many members of the last fan-out
 	opForeign  = 9
 	opSetLane  = 10
-	opPop      = 11 // 11-15
+	opPeek     = 11
+	opPop      = 12 // 12-15
 )
 
 func (d *lockstep) arg() int {
@@ -378,9 +401,86 @@ func (d *lockstep) cancel(id int) {
 	if d.handles[id].eng == nil {
 		return
 	}
+	multi := d.multiInstant()
 	d.handles[id].Cancel()
-	if d.o.cancel(d.evs[id]) && d.e.nheap > len(d.e.heap) {
-		d.compactions++ // with a same-birth run still queued
+	if d.o.cancel(d.evs[id]) && multi {
+		d.compactions++
+	}
+}
+
+// multiInstant reports whether the engine queues an instant holding two or
+// more events.
+func (d *lockstep) multiInstant() bool {
+	for _, h := range d.e.iheap {
+		if in := &d.e.insts[h.rec]; in.head != in.tail {
+			return true
+		}
+	}
+	return false
+}
+
+// foreignPush pushes an event born on another engine's lane (8-11),
+// executing on one of ours.
+func (d *lockstep) foreignPush(at, bTime Time, lane, execLane uint32) {
+	d.foreign[lane]++
+	id := len(d.evs)
+	d.e.PushForeign(at, bTime, lane, d.foreign[lane], execLane, "", func() { d.fire(id) })
+	d.handles = append(d.handles, Event{})
+	d.evs = append(d.evs, d.o.pushForeign(id, at, bTime, lane, execLane, d.foreign[lane]))
+	d.live = append(d.live, id)
+}
+
+// peek compares NextAt with the oracle, optionally cancelling the front
+// event first so the peek must reclaim it, then acts on the earliest
+// instant after now: the peeked one, unless events are still due now.
+func (d *lockstep) peek(a, b int) {
+	if b%3 == 0 {
+		if i := d.o.heapMin(); i >= 0 {
+			d.cancel(d.o.heap[i].id)
+		}
+	}
+	got, gotOK := d.e.NextAt()
+	want, wantOK := d.o.peek()
+	if got != want || gotOK != wantOK {
+		d.tb.Fatalf("op %d: NextAt() = %v, %v; oracle says %v, %v", d.pc, got, gotOK, want, wantOK)
+	}
+	now, at := d.e.Now(), Time(-1)
+	for _, ev := range d.o.heap {
+		if ev.at > now && (at < 0 || ev.at < at) {
+			at = ev.at
+		}
+	}
+	if at < 0 {
+		return
+	}
+	if d.multiInstant() {
+		d.peeks++
+	}
+	switch a % 4 {
+	case 0: // a foreign push into the peeked instant
+		bTime := now - Time(b%3)
+		if bTime < 0 {
+			bTime = 0
+		}
+		d.foreignPush(at, bTime, uint32(8+b/3%4), uint32(b%4))
+	case 1: // a push at an earlier time, when there is one
+		delay := at - now
+		if delay > 1 {
+			delay = 1 + Time(b)%(delay-1)
+		}
+		d.schedule(delay, uint32(b%4))
+	case 2: // same-bTime pushes into the peeked instant, lanes descending
+		for lane := 3; lane >= 0; lane-- {
+			d.e.SetLane(uint32(lane))
+			d.o.lane = uint32(lane)
+			d.schedule(at-now, uint32(b%4))
+		}
+	case 3: // cancel every, or every other, event of the peeked instant
+		for _, id := range d.live {
+			if ev := d.evs[id]; ev.at == at && (b%2 == 0 || id%2 == 0) {
+				d.cancel(id)
+			}
+		}
 	}
 }
 
@@ -389,7 +489,7 @@ func (d *lockstep) cancel(id int) {
 func (d *lockstep) runOps(inCallback bool) {
 	for d.pc < len(d.ops) {
 		k := d.kind()
-		if k == opPop || (inCallback && (k == opForeign || k == opSetLane)) {
+		if k == opPop || (inCallback && (k == opForeign || k == opSetLane || k == opPeek)) {
 			return
 		}
 		d.pc++
@@ -434,22 +534,16 @@ func (d *lockstep) runOps(inCallback bool) {
 				d.cancel(d.fanout[i])
 			}
 		case opForeign:
-			// Born on another engine's lane, executing on one of ours.
-			lane, execLane := uint32(8+a%4), uint32(a/4%4)
 			bTime := d.e.Now() - Time(b%3)
 			if bTime < 0 {
 				bTime = 0
 			}
-			at := d.e.Now() + Time(1+b/4%5)
-			d.foreign[lane]++
-			id := len(d.evs)
-			d.e.PushForeign(at, bTime, lane, d.foreign[lane], execLane, "", func() { d.fire(id) })
-			d.handles = append(d.handles, Event{})
-			d.evs = append(d.evs, d.o.pushForeign(id, at, bTime, lane, execLane, d.foreign[lane]))
-			d.live = append(d.live, id)
+			d.foreignPush(d.e.Now()+Time(1+b/4%5), bTime, uint32(8+a%4), uint32(a/4%4))
 		case opSetLane:
 			d.e.SetLane(uint32(a % 4))
 			d.o.lane = uint32(a % 4)
+		case opPeek:
+			d.peek(a, b)
 		}
 		d.check()
 	}
@@ -481,8 +575,8 @@ func (d *lockstep) check() {
 	if got, want := d.e.Pending(), d.o.pending(); got != want {
 		d.tb.Fatalf("op %d: Pending() = %d, oracle has %d live events", d.pc, got, want)
 	}
-	if d.e.nheap > len(d.e.heap) {
-		d.runChecks++
+	if d.multiInstant() {
+		d.instantChecks++
 	}
 	keep := d.live[:0]
 	for _, id := range d.live {
@@ -527,12 +621,13 @@ func runOrderOps(tb testing.TB, ops []byte, maxQueue int) *lockstep {
 }
 
 // orderOps draws an op stream weighted toward the work-group shape: fan-outs
-// followed by pops and cancels, with enough thinning to compact mid-run.
+// followed by pops and cancels, with enough thinning to compact a
+// part-cancelled instant.
 func orderOps(rng *rand.Rand, n int) []byte {
 	ops := make([]byte, 0, 3*n)
 	weights := []struct{ op, w int }{
-		{opSchedule, 18}, {opFanout, 6}, {opCancel, 14}, {opThin, 5},
-		{opForeign, 5}, {opSetLane, 4}, {opPop, 48},
+		{opSchedule, 16}, {opFanout, 6}, {opCancel, 13}, {opThin, 5},
+		{opForeign, 5}, {opSetLane, 4}, {opPeek, 5}, {opPop, 46},
 	}
 	for i := 0; i < n; i++ {
 		r := rng.Intn(100)
@@ -551,9 +646,10 @@ func orderOps(rng *rand.Rand, n int) []byte {
 
 // TestBirthOrderOracle drives 20 seeded op streams of 600 ops through the
 // engine and the birth-key oracle, and requires that the streams really
-// exercised runs and mid-run compaction.
+// exercised instants of several events: checks and compactions with one
+// queued, and peeks at one.
 func TestBirthOrderOracle(t *testing.T) {
-	var fired, compactions, runChecks int
+	var fired, compactions, instantChecks, peeks int
 	for trial := 0; trial < 20; trial++ {
 		var d *lockstep
 		t.Run(fmt.Sprint("seed", 9100+trial), func(t *testing.T) {
@@ -564,13 +660,14 @@ func TestBirthOrderOracle(t *testing.T) {
 		}
 		fired += d.fired
 		compactions += d.compactions
-		runChecks += d.runChecks
+		instantChecks += d.instantChecks
+		peeks += d.peeks
 	}
-	if compactions == 0 || runChecks == 0 {
-		t.Fatalf("op streams too tame: %d compactions across a run, %d checks with a same-birth run queued (%d events fired)",
-			compactions, runChecks, fired)
+	if compactions == 0 || instantChecks == 0 || peeks == 0 {
+		t.Fatalf("op streams too tame: %d compactions and %d checks with a multi-event instant queued, %d peeks at one (%d events fired)",
+			compactions, instantChecks, peeks, fired)
 	}
-	t.Logf("%d events fired, %d compactions across a run, %d checks with a run queued", fired, compactions, runChecks)
+	t.Logf("%d events fired; with a multi-event instant queued: %d compactions, %d checks, %d peeks", fired, compactions, instantChecks, peeks)
 }
 
 // FuzzEngineOrder feeds arbitrary op streams (3 bytes an op, see runOps)
@@ -581,6 +678,9 @@ func FuzzEngineOrder(f *testing.F) {
 		f.Add(orderOps(rand.New(rand.NewSource(seed)), 200))
 	}
 	f.Add([]byte{opFanout, 1, 3, opPop, 0, 0, opCancel, 0, 0, opCancel, 2, 0, opThin, 1, 0, opPop, 0, 0})
+	// A fan-out, then peeks that cancel the front first and push into the
+	// peeked instant from another engine, from descending lanes, and earlier.
+	f.Add([]byte{opFanout, 1, 3, opPeek, 0, 0, opPeek, 2, 0, opPeek, 1, 3, opPeek, 3, 0, opPop, 0, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 3*200 {
 			ops = ops[:3*200]

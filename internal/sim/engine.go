@@ -1,21 +1,24 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync/atomic"
 )
 
 // The event core is allocation-free on the steady-state path: events live in
-// a contiguous arena of slots recycled through a free list, the ready queue
-// is a 4-ary min-heap of inline key entries, and callers hold lightweight
-// value handles instead of pointers. Cancellation is lazy: a cancelled event
-// stays queued until popped, and the queue compacts when cancelled events
+// a contiguous arena of slots recycled through a free list, future events
+// wait in an instant queue (below), and callers hold lightweight value
+// handles instead of pointers. Cancellation is lazy: a cancelled event stays
+// queued until popped, and the queue compacts when cancelled events
 // outnumber live ones.
 //
 // Ordering: every scheduled event carries a birth key — the simulated time
 // of the scheduling call (bTime), the lane of the scheduling context
-// (bLane), and that lane's monotone schedule counter (bIdx) — and the heap
-// orders same-time events by it. A lane is a logical event stream (the
+// (bLane), and that lane's monotone schedule counter (bIdx) — and same-time
+// events fire in birth-key order. A lane is a logical event stream (the
 // sharded cluster assigns one per node; lane 0 is the ambient default). For
 // a single-lane engine the key order degenerates to exactly the seed
 // engine's (at, seq) arrival order: bTime is nondecreasing in arrival order
@@ -26,13 +29,18 @@ import (
 // into shards — which is what makes bounded-window parallel execution
 // deterministic.
 //
-// Same-birth runs: consecutive heap pushes that share (at, bTime, bLane) —
-// a counter waking a kernel's work-groups that each sleep the same lag, or
-// each posting an MMIO flight of the same latency — ride one heap entry.
-// Such events are one contiguous range of the birth-key order, ordered by
-// push order inside it, so the later ones chain behind the first through
-// eventSlot.next and skip the heap. Popping a run's head promotes the next
-// member into heap[0] without a sift: it is the new global minimum.
+// Instant queue: the total order (at, bTime, bLane, bIdx) splits by at, so
+// future events are grouped into one record per distinct time (an instant),
+// and a small binary heap orders the instants by at alone. An instant's
+// events chain through eventSlot.next in push order; a push that arrives
+// below the chain's tail in key order marks the instant unsorted, and the
+// chain is sorted by key once, when its first event is popped. Pops then
+// walk the chain. A simulated cluster runs in lockstep — a kernel's
+// work-groups, or every node of a halo exchange, schedule at the same few
+// instants — so thousands of queued events share a handful of times, and
+// the queue orders a handful of records instead of sifting every event.
+// An instant whose pushes all arrive in key order (a counter waking a
+// kernel's work-groups that each sleep the same lag) is never sorted.
 
 // eventSlot is one arena cell. A slot is either queued (its gen matches
 // outstanding handles) or free (gen bumped, on the free list). Slots are
@@ -40,8 +48,11 @@ import (
 // a no-op, matching the seed engine's "cancelling a fired event does
 // nothing" semantics. lane is the event's execution lane: the ambient lane
 // its callback runs under (and therefore the birth lane of its children).
-// next links a same-birth run: the id+1 of the member queued behind this
-// one, 0 for none (so a zero slot is a run's tail).
+// next links the event's instant chain: the id+1 of the member queued
+// behind this one, 0 for none (so a zero slot is a chain's tail). A future
+// event's birth key (bTime, bLane, bIdx) orders it within its instant; it
+// is compared in place by keyCmp, never copied. The fields a pop reads
+// come first, the key last.
 type eventSlot struct {
 	at        Time
 	fn        func()
@@ -49,33 +60,30 @@ type eventSlot struct {
 	label     string
 	lane      uint32
 	gen       uint32
-	cancelled bool
 	next      int32
+	bLane     uint32 // lane of the scheduling context
+	bTime     Time   // simulated time of the scheduling call
+	bIdx      uint64 // birth lane's monotone schedule counter
+	cancelled bool
 }
 
-// heapEntry carries the ordering key inline so sift comparisons never chase
-// into the arena. For a same-birth run, id is the run's front member while
-// bIdx stays the run head's counter: every member of the run sorts between
-// the same neighbours as its head, so the head's key orders all of them.
-type heapEntry struct {
-	at    Time
-	bTime Time   // simulated time of the scheduling call
-	bIdx  uint64 // birth lane's monotone schedule counter
-	bLane uint32 // lane of the scheduling context
-	id    int32
+// instant is the record of one queued future time. Its events chain from
+// head to tail in push order, or in key order once sorted; min is the
+// key-minimal member (head once sorted), so a peek at the queue front sorts
+// nothing unless it reclaims a cancelled min. hnext chains the records that
+// share a bucket of Engine.buckets, or the free records.
+type instant struct {
+	at              Time
+	head, tail, min int32
+	hnext           int32 // record+1, 0 for none
+	sorted          bool
 }
 
-func (a heapEntry) less(b heapEntry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.bTime != b.bTime {
-		return a.bTime < b.bTime
-	}
-	if a.bLane != b.bLane {
-		return a.bLane < b.bLane
-	}
-	return a.bIdx < b.bIdx
+// instEntry is an instant-heap entry; at rides inline so sifts never chase
+// into the records.
+type instEntry struct {
+	at  Time
+	rec int32
 }
 
 // Event is a cancellable handle to a scheduled event. It is a small value —
@@ -108,7 +116,7 @@ func (ev Event) Cancel() {
 	// Compact once cancelled entries outnumber live ones, but never bother
 	// for tiny queues: the lazy pop-path drain reclaims those for free, and
 	// eager reclamation would invalidate handles callers may still inspect.
-	if e.ncancelled > 32 && e.ncancelled*2 > e.nheap {
+	if e.ncancelled > 32 && e.ncancelled*2 > e.nfuture {
 		e.compact()
 	}
 }
@@ -145,32 +153,36 @@ type Engine struct {
 	// shard is this engine's index within a Sharded group (0 standalone).
 	shard int
 
-	arena      []eventSlot
-	free       []int32
-	heap       []heapEntry
-	nheap      int // events queued through the heap, run members included
+	arena []eventSlot
+	free  []int32
+
+	// The instant queue: records, recycled through the list freeInst
+	// heads (record+1, chained through instant.hnext); the binary min-heap
+	// iheap ordering them by at; and buckets, a hash table from a time to
+	// its record (record+1 chained through instant.hnext; its length is a
+	// power of two, 1<<(64-bucketShift)). The first table is bucket0,
+	// inside the Engine. sortBuf is the scratch space of sortInstant.
+	insts       []instant
+	freeInst    int32
+	iheap       []instEntry
+	buckets     []int32
+	bucket0     [16]int32
+	bucketShift uint8
+	sortBuf     []int32
+
+	nfuture    int // events queued in instants, cancelled ones included
 	ncancelled int
 	executed   uint64
 
-	// run is the open same-birth run: the last heap push's key and its
-	// slot (id+1, 0 for none) with the generation it was queued under, so
-	// a tail reclaimed since (cancelled and drained) is never joined.
-	run struct {
-		at, bTime Time
-		lane      uint32
-		tail      int32
-		gen       uint32
-	}
-
 	// nowq is the same-time fast path: events scheduled at the current
-	// instant in a FIFO ring, bypassing the heap. This is sound because
-	// birth-key ordering degenerates to FIFO for at == now (all such events
-	// share bTime == now and counters grow in arrival order), and no heap
-	// entry at the current time can be younger than a nowq entry — once the
-	// clock reaches T, scheduling at T lands in nowq, never the heap, so
-	// heap entries at T (bTime < T) always predate (and outrank) every nowq
-	// entry. Process wakes — the dominant event class — are exactly this
-	// shape.
+	// instant in a FIFO ring, bypassing the instant queue. This is sound
+	// because birth-key ordering degenerates to FIFO for at == now (all
+	// such events share bTime == now and counters grow in arrival order),
+	// and no queued instant at the current time can hold an event younger
+	// than a nowq entry — once the clock reaches T, scheduling at T lands
+	// in nowq, never in T's instant, so the instant's events (bTime < T)
+	// always predate (and outrank) every nowq entry. Process wakes — the
+	// dominant event class — are exactly this shape.
 	nowq     []int32
 	nowqHead int
 
@@ -198,7 +210,7 @@ func (e *Engine) Now() Time { return e.now }
 
 // Pending reports the number of live (non-cancelled) events in the queue.
 func (e *Engine) Pending() int {
-	return e.nheap + (len(e.nowq) - e.nowqHead) - e.ncancelled
+	return e.nfuture + (len(e.nowq) - e.nowqHead) - e.ncancelled
 }
 
 // Executed reports how many events this engine has fired so far.
@@ -267,6 +279,18 @@ func (e *Engine) scheduleLane(at Time, label string, fn func(), proc *Proc, exec
 	}
 	bLane := e.curLane
 	bIdx := e.laneNext(bLane)
+	id := e.allocSlot(at, label, fn, proc, execLane)
+	if at == e.now {
+		e.nowq = append(e.nowq, id)
+	} else {
+		e.push(id, at, e.now, bLane, bIdx)
+	}
+	return Event{eng: e, at: at, id: id, gen: e.arena[id].gen}
+}
+
+// allocSlot takes a slot off the free list, or grows the arena, and fills
+// it in.
+func (e *Engine) allocSlot(at Time, label string, fn func(), proc *Proc, execLane uint32) int32 {
 	var id int32
 	if n := len(e.free); n > 0 {
 		id = e.free[n-1]
@@ -277,20 +301,7 @@ func (e *Engine) scheduleLane(at Time, label string, fn func(), proc *Proc, exec
 	}
 	s := &e.arena[id]
 	s.at, s.fn, s.proc, s.label, s.lane, s.cancelled, s.next = at, fn, proc, label, execLane, false, 0
-	if at == e.now {
-		e.nowq = append(e.nowq, id)
-		return Event{eng: e, at: at, id: id, gen: s.gen}
-	}
-	e.nheap++
-	r := &e.run
-	if r.tail != 0 && r.at == at && r.bTime == e.now && r.lane == bLane && e.arena[r.tail-1].gen == r.gen {
-		e.arena[r.tail-1].next = id + 1
-	} else {
-		r.at, r.bTime, r.lane = at, e.now, bLane
-		e.heapPush(heapEntry{at: at, bTime: e.now, bIdx: bIdx, bLane: bLane, id: id})
-	}
-	r.tail, r.gen = id+1, s.gen
-	return Event{eng: e, at: at, id: id, gen: s.gen}
+	return id
 }
 
 // laneNext advances and returns the lane's schedule counter, growing the
@@ -317,26 +328,12 @@ func (e *Engine) Lane() uint32 { return e.curLane }
 // group, carrying its original birth key so same-time ordering matches the
 // single-engine run. Only the shard coordinator calls it, between windows,
 // when no engine is executing. The event must be in this engine's strict
-// future (the lookahead window guarantees it). It never joins a same-birth
-// run and closes the open one: its birth lane belongs to another engine,
-// so it can share no local run's key.
+// future (the lookahead window guarantees it).
 func (e *Engine) PushForeign(at, bTime Time, bLane uint32, bIdx uint64, execLane uint32, label string, fn func()) {
 	if at <= e.now {
 		panic(fmt.Sprintf("sim: foreign event at %v not beyond now %v (lookahead violated)", at, e.now))
 	}
-	var id int32
-	if n := len(e.free); n > 0 {
-		id = e.free[n-1]
-		e.free = e.free[:n-1]
-	} else {
-		e.arena = append(e.arena, eventSlot{})
-		id = int32(len(e.arena) - 1)
-	}
-	s := &e.arena[id]
-	s.at, s.fn, s.proc, s.label, s.lane, s.cancelled, s.next = at, fn, nil, label, execLane, false, 0
-	e.nheap++
-	e.run.tail = 0
-	e.heapPush(heapEntry{at: at, bTime: bTime, bIdx: bIdx, bLane: bLane, id: id})
+	e.push(e.allocSlot(at, label, fn, nil, execLane), at, bTime, bLane, bIdx)
 }
 
 // freeSlot reclaims a slot: outstanding handles become stale (gen bump) and
@@ -352,11 +349,15 @@ func (e *Engine) freeSlot(id int32) {
 
 // drainCancelled pops cancelled entries off the fronts of both queues. It
 // is the single place lazily-cancelled events are discarded on the pop
-// path; both step and RunUntil peek through it.
+// path; both step and RunUntil peek through it. The front instant's min
+// names its front event without sorting the instant.
 func (e *Engine) drainCancelled() {
-	for len(e.heap) > 0 && e.arena[e.heap[0].id].cancelled {
+	if e.ncancelled == 0 {
+		return
+	}
+	for len(e.iheap) > 0 && e.arena[e.insts[e.iheap[0].rec].min].cancelled {
 		e.ncancelled--
-		e.freeSlot(e.heapPop())
+		e.freeSlot(e.popFront())
 	}
 	for e.nowqHead < len(e.nowq) && e.arena[e.nowq[e.nowqHead]].cancelled {
 		e.ncancelled--
@@ -376,12 +377,12 @@ func (e *Engine) nowqAdvance() {
 }
 
 // popNext removes and returns the slot of the next live event, assuming
-// drainCancelled has run. A heap entry at the current time always wins over
-// the nowq front (it is necessarily older — see the nowq invariant); the
-// nowq front wins over any later-time heap entry.
+// drainCancelled has run. An instant at the current time always wins over
+// the nowq front (its events are necessarily older — see the nowq
+// invariant); the nowq front wins over any later instant.
 func (e *Engine) popNext() (int32, bool) {
-	if len(e.heap) > 0 && (e.heap[0].at == e.now || e.nowqHead == len(e.nowq)) {
-		return e.heapPop(), true
+	if len(e.iheap) > 0 && (e.iheap[0].at == e.now || e.nowqHead == len(e.nowq)) {
+		return e.popFront(), true
 	}
 	if e.nowqHead < len(e.nowq) {
 		id := e.nowq[e.nowqHead]
@@ -484,8 +485,8 @@ func (e *Engine) nextAt() (Time, bool) {
 	if e.nowqHead < len(e.nowq) {
 		return e.now, true
 	}
-	if len(e.heap) > 0 {
-		return e.heap[0].at, true
+	if len(e.iheap) > 0 {
+		return e.iheap[0].at, true
 	}
 	return 0, false
 }
@@ -493,36 +494,43 @@ func (e *Engine) nextAt() (Time, bool) {
 // compact removes every lazily-cancelled event from both queues in one pass
 // and re-establishes the heap invariant. Triggered when cancelled events
 // outnumber live ones; ordering is unaffected because the birth key is a
-// total order independent of heap layout, a run's survivors keep their
-// chain order, and the nowq filter preserves FIFO.
+// total order independent of queue layout, an instant's survivors keep
+// their chain order, and the nowq filter preserves FIFO.
 func (e *Engine) compact() {
-	keep := e.heap[:0]
-	for _, h := range e.heap {
-		// Re-link the run's survivors; link points at the field that
-		// names the next survivor (the entry's id+1 for the first).
+	keep := e.iheap[:0]
+	for _, h := range e.iheap {
+		in := &e.insts[h.rec]
+		// Re-link the survivors; link points at the field that names the
+		// next survivor (first for the head).
 		first := int32(0)
 		link := &first
-		for id := h.id + 1; id != 0; {
+		for id := in.head + 1; id != 0; {
 			s := &e.arena[id-1]
 			next := s.next
 			if s.cancelled {
 				e.ncancelled--
-				e.nheap--
+				e.nfuture--
 				e.freeSlot(id - 1)
 			} else {
+				if first == 0 || e.keyCmp(id-1, in.min) < 0 {
+					in.min = id - 1
+				}
 				*link = id
 				link = &s.next
+				in.tail = id - 1
 			}
 			id = next
 		}
 		*link = 0
-		if first != 0 {
-			h.id = first - 1
-			keep = append(keep, h)
+		if first == 0 {
+			e.retire(h.rec)
+			continue
 		}
+		in.head = first - 1
+		keep = append(keep, h)
 	}
-	e.heap = keep
-	for i := (len(e.heap) - 2) / 4; i >= 0; i-- {
+	e.iheap = keep
+	for i := len(e.iheap)/2 - 1; i >= 0; i-- {
 		e.siftDown(i)
 	}
 	if e.nowqHead < len(e.nowq) {
@@ -543,61 +551,153 @@ func (e *Engine) compact() {
 	}
 }
 
-// The ready queue is a 4-ary min-heap: shallower than a binary heap (fewer
-// cache-missing levels per sift) at the cost of up to three extra
-// comparisons per level, a good trade for the sim's push/pop mix.
-
-func (e *Engine) heapPush(h heapEntry) {
-	e.heap = append(e.heap, h)
-	i := len(e.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !e.heap[i].less(e.heap[parent]) {
+// push queues future event id under its birth key, appending it to the
+// chain of its instant or opening a new instant.
+func (e *Engine) push(id int32, at, bTime Time, bLane uint32, bIdx uint64) {
+	s := &e.arena[id]
+	s.bTime, s.bIdx, s.bLane = bTime, bIdx, bLane
+	e.nfuture++
+	if len(e.buckets) == 0 {
+		// Sized for the few instants a cluster keeps queued, so a small
+		// engine's queue allocates twice, not at every doubling.
+		e.insts = make([]instant, 0, len(e.bucket0))
+		e.iheap = make([]instEntry, 0, len(e.bucket0))
+		e.rehash(e.bucket0[:])
+	}
+	b := e.bucket(at)
+	r := *b
+	for r != 0 && e.insts[r-1].at != at {
+		r = e.insts[r-1].hnext
+	}
+	if r != 0 {
+		in := &e.insts[r-1]
+		e.arena[in.tail].next = id + 1
+		if e.keyCmp(id, in.tail) < 0 {
+			in.sorted = false
+			if e.keyCmp(id, in.min) < 0 {
+				in.min = id
+			}
+		}
+		in.tail = id
+		return
+	}
+	var rec int32
+	if e.freeInst != 0 {
+		rec = e.freeInst - 1
+		e.freeInst = e.insts[rec].hnext
+	} else {
+		e.insts = append(e.insts, instant{})
+		rec = int32(len(e.insts) - 1)
+	}
+	e.insts[rec] = instant{at: at, head: id, tail: id, min: id, hnext: *b, sorted: true}
+	*b = rec + 1
+	e.iheap = append(e.iheap, instEntry{at: at, rec: rec})
+	for i := len(e.iheap) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if e.iheap[parent].at <= at {
 			break
 		}
-		e.heap[i], e.heap[parent] = e.heap[parent], e.heap[i]
+		e.iheap[i], e.iheap[parent] = e.iheap[parent], e.iheap[i]
 		i = parent
+	}
+	if len(e.iheap) > len(e.buckets) {
+		e.rehash(make([]int32, 2*len(e.buckets)))
 	}
 }
 
-// heapPop removes and returns the slot id of the minimum event. A run's
-// next member takes the head's place without a sift: it shares the head's
-// key, so it is the new minimum.
-func (e *Engine) heapPop() int32 {
-	id := e.heap[0].id
-	e.nheap--
+// popFront removes and returns the key-minimal event of the earliest
+// instant, sorting the instant first if a push arrived out of key order.
+// Popping its last event retires the instant.
+func (e *Engine) popFront() int32 {
+	rec := e.iheap[0].rec
+	in := &e.insts[rec]
+	if !in.sorted {
+		e.sortInstant(in)
+	}
+	id := in.head
+	e.nfuture--
 	if next := e.arena[id].next; next != 0 {
-		e.heap[0].id = next - 1
+		in.head, in.min = next-1, next-1
 		return id
 	}
-	n := len(e.heap) - 1
-	e.heap[0] = e.heap[n]
-	e.heap = e.heap[:n]
-	if n > 1 {
-		e.siftDown(0)
-	}
+	e.retire(rec)
+	n := len(e.iheap) - 1
+	e.iheap[0] = e.iheap[n]
+	e.iheap = e.iheap[:n]
+	e.siftDown(0)
 	return id
 }
 
+// sortInstant puts an instant's chain in birth-key order.
+func (e *Engine) sortInstant(in *instant) {
+	buf := e.sortBuf[:0]
+	for id := in.head + 1; id != 0; id = e.arena[id-1].next {
+		buf = append(buf, id-1)
+	}
+	slices.SortFunc(buf, e.keyCmp)
+	for i, id := range buf[1:] {
+		e.arena[buf[i]].next = id + 1
+	}
+	in.head, in.tail, in.min, in.sorted = buf[0], buf[len(buf)-1], buf[0], true
+	e.arena[in.tail].next = 0
+	e.sortBuf = buf
+}
+
+// keyCmp compares the birth keys of queued slots a and b.
+func (e *Engine) keyCmp(a, b int32) int {
+	ka, kb := &e.arena[a], &e.arena[b]
+	if ka.bTime != kb.bTime {
+		return cmp.Compare(ka.bTime, kb.bTime)
+	}
+	if ka.bLane != kb.bLane {
+		return cmp.Compare(ka.bLane, kb.bLane)
+	}
+	return cmp.Compare(ka.bIdx, kb.bIdx)
+}
+
+// retire unhooks an emptied instant's record from its bucket and frees it;
+// the caller removes its heap entry.
+func (e *Engine) retire(rec int32) {
+	link := e.bucket(e.insts[rec].at)
+	for *link != rec+1 {
+		link = &e.insts[*link-1].hnext
+	}
+	*link = e.insts[rec].hnext
+	e.insts[rec].hnext = e.freeInst
+	e.freeInst = rec + 1
+}
+
+// bucket returns the head of the record chain that time at hashes to.
+// Fibonacci hashing takes the product's top bits, so times that are
+// multiples of a round unit still spread.
+func (e *Engine) bucket(at Time) *int32 {
+	return &e.buckets[uint64(at)*0x9E3779B97F4A7C15>>e.bucketShift]
+}
+
+// rehash moves the queued instants onto the empty table b, whose length is
+// a power of two; push doubles the table once instants outnumber buckets.
+func (e *Engine) rehash(b []int32) {
+	e.buckets = b
+	e.bucketShift = uint8(64 - bits.TrailingZeros(uint(len(b))))
+	for _, h := range e.iheap {
+		head := e.bucket(h.at)
+		e.insts[h.rec].hnext = *head
+		*head = h.rec + 1
+	}
+}
+
 func (e *Engine) siftDown(i int) {
-	h := e.heap
+	h := e.iheap
 	n := len(h)
 	for {
-		first := 4*i + 1
-		if first >= n {
+		min := 2*i + 1
+		if min >= n {
 			return
 		}
-		min := first
-		last := first + 4
-		if last > n {
-			last = n
+		if c := min + 1; c < n && h[c].at < h[min].at {
+			min = c
 		}
-		for c := first + 1; c < last; c++ {
-			if h[c].less(h[min]) {
-				min = c
-			}
-		}
-		if !h[min].less(h[i]) {
+		if h[i].at <= h[min].at {
 			return
 		}
 		h[i], h[min] = h[min], h[i]

@@ -24,9 +24,9 @@ import (
 // lane's monotone counter on the engine where the lane lives. Partitioning
 // lanes into shards does not change any of those inputs, so the same model
 // produces identically-keyed events under any shard count, and every
-// engine's heap pops its lane-partitioned subsequence of the same global
-// key order. Windows only affect *wall-clock* interleaving, never key
-// assignment or per-lane event order.
+// engine's instant queue pops its lane-partitioned subsequence of the same
+// global key order. Windows only affect *wall-clock* interleaving, never
+// key assignment or per-lane event order.
 //
 // One caveat, by construction rather than enforcement: events that cross
 // shards must be born on nonzero lanes. Lane 0 is the ambient lane and its
