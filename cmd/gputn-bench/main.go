@@ -496,9 +496,7 @@ func runners(cfg config.SystemConfig, opts options) map[string]func() error {
 	return map[string]func() error{
 		"fig1": func() error {
 			series := bench.Figure1(cfg)
-			fmt.Println(stats.RenderSeries("Figure 1: kernel launch latency (us) vs queued kernel commands",
-				"queued", series))
-			fmt.Println(stats.Plot(series, stats.PlotOptions{LogX: true, XLabel: "queued kernel commands", Title: "launch latency (us)"}))
+			fmt.Println(bench.RenderFigure1(series))
 			return writeCSV(opts.out, "fig1", "queued", series)
 		},
 		"fig8": func() error {
@@ -510,16 +508,12 @@ func runners(cfg config.SystemConfig, opts options) map[string]func() error {
 		},
 		"fig9": func() error {
 			series := bench.Figure9(cfg)
-			fmt.Println(stats.RenderSeries("Figure 9: Jacobi speedup vs HDN (2x2 nodes, per-iteration)",
-				"N", series))
-			fmt.Println(stats.Plot(series, stats.PlotOptions{LogX: true, XLabel: "local grid N", Title: "speedup vs HDN"}))
+			fmt.Println(bench.RenderFigure9(series))
 			return writeCSV(opts.out, "fig9", "N", series)
 		},
 		"fig10": func() error {
 			series := bench.Figure10(cfg)
-			fmt.Println(stats.RenderSeries("Figure 10: 8MB Allreduce speedup vs CPU (strong scaling)",
-				"nodes", series))
-			fmt.Println(stats.Plot(series, stats.PlotOptions{XLabel: "nodes", Title: "speedup vs CPU"}))
+			fmt.Println(bench.RenderFigure10(series))
 			return writeCSV(opts.out, "fig10", "nodes", series)
 		},
 		"fig11": func() error {

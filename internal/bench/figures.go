@@ -56,6 +56,12 @@ func Figure1(cfg config.SystemConfig) []*stats.Series {
 	return out
 }
 
+// RenderFigure1 formats Figure 1 as its table and plot.
+func RenderFigure1(series []*stats.Series) string {
+	return stats.RenderSeries("Figure 1: kernel launch latency (us) vs queued kernel commands", "queued", series) + "\n" +
+		stats.Plot(series, stats.PlotOptions{LogX: true, XLabel: "queued kernel commands", Title: "launch latency (us)"})
+}
+
 // Fig9Sizes are the local grid sizes swept in Figure 9.
 var Fig9Sizes = []int{16, 32, 64, 128, 256, 512, 1024}
 
@@ -120,6 +126,12 @@ func Figure9Weak(cfg config.SystemConfig, n int, meshes [][2]int) map[int]float6
 	return out
 }
 
+// RenderFigure9 formats Figure 9 as its table and plot.
+func RenderFigure9(series []*stats.Series) string {
+	return stats.RenderSeries("Figure 9: Jacobi speedup vs HDN (2x2 nodes, per-iteration)", "N", series) + "\n" +
+		stats.Plot(series, stats.PlotOptions{LogX: true, XLabel: "local grid N", Title: "speedup vs HDN"})
+}
+
 // Fig10Nodes are the cluster sizes swept in Figure 10.
 var Fig10Nodes = []int{2, 5, 8, 11, 14, 17, 20, 23, 26, 29, 32}
 
@@ -156,6 +168,12 @@ func Figure10(cfg config.SystemConfig) []*stats.Series {
 		out = append(out, series[k])
 	}
 	return out
+}
+
+// RenderFigure10 formats Figure 10 as its table and plot.
+func RenderFigure10(series []*stats.Series) string {
+	return stats.RenderSeries("Figure 10: 8MB Allreduce speedup vs CPU (strong scaling)", "nodes", series) + "\n" +
+		stats.Plot(series, stats.PlotOptions{XLabel: "nodes", Title: "speedup vs CPU"})
 }
 
 // Fig11Nodes is the cluster size of Figure 11 (8 nodes in the paper).
