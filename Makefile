@@ -90,12 +90,14 @@ bench:
 	$(GO) run ./cmd/gputn-bench -exp perf -perf-preset full -bench-out BENCH_sim.json
 
 ## bench-smoke: the reduced perf run CI uses — times each experiment 3
-## times, compares it against the committed BENCH_sim.json baseline
-## first (failing on a changed event count, allocs/event up by more than
-## 0.02, or a median events/sec >30% below the baseline's), then
-## overwrites it with the fresh smoke report.
+## times and compares it against the committed BENCH_sim.json baseline,
+## failing on a changed event count, allocs/event up by more than 0.02,
+## or a median events/sec >30% below the baseline's. The fresh smoke
+## report goes to BENCH_SMOKE_OUT (untracked), never over the committed
+## full baseline, which only `make bench` rewrites.
+BENCH_SMOKE_OUT ?= bench-smoke.json
 bench-smoke:
-	$(GO) run ./cmd/gputn-bench -exp perf -perf-preset smoke -bench-baseline BENCH_sim.json -bench-out BENCH_sim.json
+	$(GO) run ./cmd/gputn-bench -exp perf -perf-preset smoke -bench-baseline BENCH_sim.json -bench-out $(BENCH_SMOKE_OUT)
 
 ## bench-shards: the parallel-engine smoke — runs fig10 at the default
 ## layout and at -shards 1 and -shards 4 on the star and on the fat-tree

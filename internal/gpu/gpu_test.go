@@ -459,3 +459,50 @@ func TestDivergeLeader(t *testing.T) {
 		t.Fatalf("leader branch = %v", dur)
 	}
 }
+
+// A Reset loses the kernel in flight wherever it is — still queued, in its
+// launch latency, running its work-groups or in teardown: it never
+// completes and never runs OnComplete. A kernel launched after the reset
+// finishes exactly when it would on a fresh GPU, with the CU pool whole.
+func TestResetLosesKernelInFlight(t *testing.T) {
+	body := func(wg *WGCtx) { wg.Compute(2 * sim.Microsecond) }
+	// On a fresh GPU a kernel pays its launch in [0, 1.5us), runs its
+	// work-groups in [1.5us, 3.5us) and tears down in [3.5us, 5us).
+	for _, tc := range []struct {
+		name string
+		at   sim.Time // -1: reset at once, with the launch still queued
+	}{
+		{"queued", -1},
+		{"launch", 1 * sim.Microsecond},
+		{"work-groups", 2500 * sim.Nanosecond},
+		{"teardown", 4 * sim.Microsecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, g := newGPU(t)
+			completed := false
+			lost := &Kernel{Name: "lost", WorkGroups: 2, Body: body, OnComplete: func() { completed = true }}
+			g.Launch(lost)
+			if tc.at < 0 {
+				g.Reset()
+			} else {
+				eng.Schedule(tc.at, g.Reset)
+			}
+			var done sim.Time
+			eng.Go("host", func(p *sim.Proc) {
+				p.Sleep(10 * sim.Microsecond)
+				g.LaunchSync(p, &Kernel{Name: "next", WorkGroups: 2, Body: body})
+				done = p.Now()
+			})
+			eng.Run()
+			if completed || lost.done.Value() != 0 {
+				t.Errorf("lost kernel completed (OnComplete ran: %v)", completed)
+			}
+			if done != 15*sim.Microsecond {
+				t.Errorf("kernel after the reset finished at %v, want 15us", done)
+			}
+			if n := g.slots.InUse(); n != 0 {
+				t.Errorf("%d work-group slots still held", n)
+			}
+		})
+	}
+}

@@ -272,3 +272,45 @@ func TestAuditorCatchesSeededStaleDelivery(t *testing.T) {
 		t.Fatal("honest run delivered a stale frame")
 	}
 }
+
+// A crash fences the command in execution wherever it is: one caught in
+// its parse is abandoned uncounted, and a put caught in its DMA read is
+// abandoned but still counts as executed. Either way nothing reaches the
+// fabric, no local completion is signalled, and the command queued behind
+// it dies with the queue.
+func TestCrashFencesCommandInExecution(t *testing.T) {
+	// A 64-byte put parses in [0, 50ns) and DMA-reads in [50ns, 111.28ns).
+	for _, tc := range []struct {
+		name     string
+		kind     OpKind
+		at       sim.Time
+		executed int64
+	}{
+		{"put in parse", OpPut, 25 * sim.Nanosecond, 0},
+		{"get in parse", OpGet, 25 * sim.Nanosecond, 0},
+		{"put in DMA", OpPut, 80 * sim.Nanosecond, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, 2)
+			recv := sim.NewCounter(r.eng)
+			r.nics[1].ExposeRegion(&Region{MatchBits: 0x10, Counter: recv})
+			local := sim.NewCounter(r.eng)
+			n := r.nics[0]
+			n.PostCommandAsync(&Command{Kind: tc.kind, Target: 1, MatchBits: 0x10, Size: 64, LocalCompletion: local})
+			n.PostCommandAsync(&Command{Kind: OpPut, Target: 1, MatchBits: 0x10, Size: 64, LocalCompletion: local})
+			r.eng.Schedule(tc.at, n.Crash)
+			r.eng.Run()
+			st := n.Stats()
+			if st.FencedCommands != 1 || st.CommandsExecuted != tc.executed {
+				t.Errorf("FencedCommands = %d, CommandsExecuted = %d; want 1, %d",
+					st.FencedCommands, st.CommandsExecuted, tc.executed)
+			}
+			if sent := r.fab.BytesSent(0); sent != 0 {
+				t.Errorf("%d bytes reached the fabric from the crashed NIC", sent)
+			}
+			if local.Value() != 0 || recv.Value() != 0 {
+				t.Errorf("local completions %d, deliveries %d; want none", local.Value(), recv.Value())
+			}
+		})
+	}
+}

@@ -64,10 +64,15 @@ func (n *NIC) noteTriggerWater() {
 	}
 }
 
-// pushCmd puts a command on the NIC execution queue and tracks the queue's
+// pushCmd puts a command on the NIC execution queue, starting the idle
+// executor with a step at the current time, and tracks the queue's
 // high-water mark.
 func (n *NIC) pushCmd(c *Command) {
 	n.cmdQ.Push(c)
+	if !n.cmdBusy {
+		n.cmdBusy, n.cmdAt = true, cmdAtStart
+		n.eng.AfterLane(0, n.lane, n.cmdStepFn)
+	}
 	if hw := int64(n.cmdQ.Len()); hw > n.stats.CmdQueueHighWater {
 		n.stats.CmdQueueHighWater = hw
 	}

@@ -173,6 +173,7 @@ type Engine struct {
 	nfuture    int // events queued in instants, cancelled ones included
 	ncancelled int
 	executed   uint64
+	resumes    uint64
 
 	// nowq is the same-time fast path: events scheduled at the current
 	// instant in a FIFO ring, bypassing the instant queue. This is sound
@@ -215,6 +216,11 @@ func (e *Engine) Pending() int {
 
 // Executed reports how many events this engine has fired so far.
 func (e *Engine) Executed() uint64 { return e.executed }
+
+// Resumes reports how many times this engine has switched to a process
+// coroutine: a process's start, each wake, and a killed process's unwind.
+// Events that call plain callbacks resume nothing.
+func (e *Engine) Resumes() uint64 { return e.resumes }
 
 // totalExecuted aggregates fired-event counts across all engines in the
 // process; Run flushes each engine's local count into it so the perf

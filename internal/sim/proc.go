@@ -219,6 +219,7 @@ func (e *Engine) dispatch(p *Proc) {
 		p.co.p = p
 	}
 	if c := p.co; c != nil {
+		e.resumes++
 		c.next()
 		if c.p == p {
 			return // parked

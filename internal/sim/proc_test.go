@@ -134,3 +134,22 @@ func TestProcPanicNamesProcessAfterOnExit(t *testing.T) {
 	}()
 	e.Run()
 }
+
+// Resumes counts coroutine switches only: a start, each wake and a kill's
+// unwind, but no plain event and no dispatch of a process killed before it
+// ever ran.
+func TestResumesCountsCoroutineSwitches(t *testing.T) {
+	e := NewEngine()
+	e.Go("sleeper", func(p *Proc) { // start + 2 wakes
+		p.Sleep(Nanosecond)
+		p.Sleep(0)
+	})
+	victim := e.Go("victim", func(p *Proc) { p.Sleep(Second) }) // start + unwind
+	e.Kill(e.Go("stillborn", func(*Proc) { t.Error("killed process ran") }))
+	e.After(Nanosecond, func() { e.Kill(victim) })
+	e.After(2*Nanosecond, func() {})
+	e.Run()
+	if got := e.Resumes(); got != 5 {
+		t.Fatalf("Resumes = %d, want 5", got)
+	}
+}

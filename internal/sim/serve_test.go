@@ -129,49 +129,6 @@ func TestServeBlockedServerListedInSpawnOrder(t *testing.T) {
 	}
 }
 
-// KillServer unwinds a busy server mid-item, and the next Push starts a
-// fresh one; on an idle server it is a no-op that schedules nothing.
-func TestServeKilledBusyServerReplaced(t *testing.T) {
-	e := NewEngine()
-	q := NewQueue[string](e)
-	var done []string
-	unwound := false
-	q.Serve("srv", func(p *Proc, v string) {
-		defer func() {
-			if p.Dead() {
-				unwound = true
-			}
-		}()
-		p.Sleep(100)
-		done = append(done, v)
-	})
-	q.KillServer()
-	if n := e.Pending(); n != 0 {
-		t.Fatalf("killing an idle server scheduled %d events, want 0", n)
-	}
-	first := q.srv
-	e.Go("driver", func(p *Proc) {
-		q.Push("lost")
-		p.Sleep(50)
-		q.KillServer() // mid-item
-		p.Sleep(10)
-		q.Push("kept")
-	})
-	e.Run()
-	if !unwound || !first.Dead() {
-		t.Fatalf("busy server not unwound: unwound=%v dead=%v", unwound, first.Dead())
-	}
-	if q.srv == first || q.srv.Name() != "srv" || q.srv.Lane() != first.Lane() {
-		t.Fatalf("killed server not replaced under its name and lane")
-	}
-	if !reflect.DeepEqual(done, []string{"kept"}) {
-		t.Fatalf("served %v, want [kept]", done)
-	}
-	if e.Now() != 160 {
-		t.Fatalf("replacement finished at %v, want 160", e.Now())
-	}
-}
-
 // A model panic in a server body surfaces from Run like any process's.
 func TestServePanicSurfaces(t *testing.T) {
 	e := NewEngine()

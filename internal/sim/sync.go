@@ -141,10 +141,9 @@ type Queue[T any] struct {
 	buf     []T
 	head, n int
 	waiters []*Proc
-	// srv is the queue's server (nil on a Pop-consumed queue) and drain
-	// its body, bound once so re-arming the server allocates nothing.
-	srv   *Proc
-	drain func(p *Proc)
+	// srv is the queue's server (nil on a Pop-consumed queue). Its body is
+	// bound once, so re-arming the server allocates nothing.
+	srv *Proc
 }
 
 // NewQueue creates a Queue bound to e.
@@ -164,36 +163,19 @@ func (q *Queue[T]) Serve(name string, fn func(p *Proc, v T)) {
 	if q.srv != nil || len(q.waiters) > 0 {
 		panic("sim: Queue.Serve on a queue that already has a consumer")
 	}
-	q.drain = func(p *Proc) {
+	q.srv = q.eng.newServer(q.eng.curLane, name, func(p *Proc) {
 		for q.n > 0 {
 			fn(p, q.take())
 		}
-	}
-	q.srv = q.eng.newServer(q.eng.curLane, name, q.drain)
+	})
 	if q.n > 0 {
 		q.arm()
 	}
 }
 
-// KillServer condemns the queue's server if it is busy, i.e. running or
-// parked mid-item: it unwinds like any killed process (Engine.Kill), and
-// the next Push starts a fresh server under the same name and lane. An
-// idle or merely armed server has nothing to unwind and is left alone.
-// It models a crash taking down a hardware pipeline mid-command.
-func (q *Queue[T]) KillServer() {
-	if s := q.srv; s != nil && s.co != nil {
-		q.eng.Kill(s)
-	}
-}
-
-// arm dispatches an idle server, replacing a killed one first.
+// arm dispatches an idle server.
 func (q *Queue[T]) arm() {
-	s := q.srv
-	if s.Dead() {
-		s = q.eng.newServer(s.lane, s.name, q.drain)
-		q.srv = s
-	}
-	if s.idle {
+	if s := q.srv; s.idle {
 		s.idle = false
 		s.wake("queue")
 	}
