@@ -194,9 +194,9 @@ func (e *HangError) Error() string {
 // condition waits (counter/signal/resource) are annotated: a sleeping
 // process has a pending wake event, so the engine is not quiescent, and a
 // consumer parked in Queue.Pop is normal at quiescence, not deadlock
-// evidence. The service pipelines (NIC command queue, GPU front-end and
-// streams, GHN helper) park nowhere when idle: a drained queue server
-// holds no coroutine and waits on nothing until its next Push.
+// evidence. Queue servers (GPU streams, the GHN helper) park nowhere when
+// idle: a drained server holds no coroutine and waits on nothing until its
+// next Push.
 type waitState struct {
 	kind   string
 	detail func() string
