@@ -38,7 +38,7 @@ check:
 ## progress-based Slow verdicts, ring bypass of confirmed stragglers,
 ## recovery/rejoin, and exact sums over the responsive membership.
 chaos:
-	$(GO) test -race -v -run 'TestChaos|TestReliable|TestAllreduceTimeout|TestAllreduceRingHeal|TestBroadcastHeal|TestBroadcastTimeout|TestRelaxedSyncRace|TestTriggerWriteLoss|TestCrash|TestRecoverable|TestRestartEpoch|TestStaleSrc|TestCancelTriggered|TestMarkPeerCrashed|TestSuite|TestPeerDead|TestPartition|TestDoubleCrash|TestAdaptiveRTO|TestLinkHealth|TestMatrixClassifies|TestSymmetricCut|TestHealReturns|TestSDC|TestQuarantineIsPermanent|TestSlow|TestStraggler|TestHedged|TestZeroConfigIsBitForBit' ./internal/collective/ ./internal/nic/ ./internal/health/ ./internal/workloads/jacobi/
+	$(GO) test -race -v -run 'TestChaos|TestReliable|TestAllreduceTimeout|TestAllreduceRingHeal|TestRelaxedSyncRace|TestTriggerWriteLoss|TestCrash|TestRecoverable|TestRestartEpoch|TestStaleSrc|TestCancelTriggered|TestMarkPeerCrashed|TestSuite|TestPeerDead|TestPartition|TestDoubleCrash|TestAdaptiveRTO|TestLinkHealth|TestMatrixClassifies|TestSymmetricCut|TestHealReturns|TestSDC|TestQuarantineIsPermanent|TestSlow|TestStraggler|TestHedged|TestZeroConfigIsBitForBit' ./internal/collective/ ./internal/nic/ ./internal/health/ ./internal/workloads/jacobi/
 
 ## chaos-scenarios: the composed correlated-failure matrix under the race
 ## detector — every backend x chaos seeds 1-5 x {rack-crash+cut,

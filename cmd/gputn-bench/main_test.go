@@ -1,7 +1,11 @@
 package main
 
 import (
+	"io/fs"
+	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -388,6 +392,63 @@ func TestExperimentListMatchesRunners(t *testing.T) {
 	for _, n := range append(append([]string{}, allOrder...), figureOrder...) {
 		if !byName[n] {
 			t.Errorf("-exp all/figures names unknown experiment %q", n)
+		}
+	}
+}
+
+// TestMakefileRunPatternsMatchTests checks every alternative of every
+// `-run '…'` pattern in the Makefile against the test functions under
+// internal/. `go test -run` passes silently when nothing matches, so an
+// alternative left behind by a renamed or deleted test would quietly
+// shrink a suite such as `make chaos`. Alternatives that match the empty
+// name (`^$`, run no test) select nothing by design and are skipped.
+func TestMakefileRunPatternsMatchTests(t *testing.T) {
+	mk, err := os.ReadFile("../../Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	testFunc := regexp.MustCompile(`(?m)^func (Test\w*)\(`)
+	var names []string
+	err = filepath.WalkDir("../../internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range testFunc.FindAllSubmatch(src, -1) {
+			names = append(names, string(m[1]))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) == 0 {
+		t.Fatal("no test functions found under internal/")
+	}
+	patterns := regexp.MustCompile(`-run '([^']*)'`).FindAllSubmatch(mk, -1)
+	if len(patterns) == 0 {
+		t.Fatal("no -run patterns found in the Makefile")
+	}
+	for _, p := range patterns {
+		for _, alt := range strings.Split(strings.ReplaceAll(string(p[1]), "$$", "$"), "|") {
+			re, err := regexp.Compile(alt)
+			if err != nil {
+				t.Errorf("Makefile -run alternative %q: %v", alt, err)
+				continue
+			}
+			if re.MatchString("") {
+				continue
+			}
+			matched := false
+			for _, name := range names {
+				if re.MatchString(name) {
+					matched = true
+					break
+				}
+			}
+			if !matched {
+				t.Errorf("Makefile -run alternative %q matches no test under internal/", alt)
+			}
 		}
 	}
 }

@@ -7,8 +7,10 @@ import (
 	"repro/internal/backends"
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/node"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/workloads/jacobi"
 )
 
 func TestFigure1Shape(t *testing.T) {
@@ -174,10 +176,23 @@ func (s *seriesT) at(x float64) float64 {
 	return -1
 }
 
-func TestFigure9WeakScalingStaysFlat(t *testing.T) {
+func TestJacobiWeakScalingStaysFlat(t *testing.T) {
 	// §5.3: weak scaling "would stay at the same point" — the per-node
-	// communication pattern is unchanged, so the speedup barely moves.
-	res := Figure9Weak(config.Default(), 128, [][2]int{{2, 2}, {2, 4}, {4, 4}})
+	// communication pattern is unchanged, so GPU-TN's speedup over HDN on
+	// the same local grid barely moves as the node mesh grows.
+	res := map[int]float64{}
+	for _, m := range [][2]int{{2, 2}, {2, 4}, {4, 4}} {
+		var dur [2]sim.Time
+		for i, kind := range []backends.Kind{backends.HDN, backends.GPUTN} {
+			c := node.NewCluster(config.Default(), m[0]*m[1])
+			r, err := jacobi.Run(c, jacobi.Params{Kind: kind, N: 128, PX: m[0], PY: m[1], Iters: Fig9Iters})
+			if err != nil {
+				t.Fatalf("%s %dx%d: %v", kind, m[0], m[1], err)
+			}
+			dur[i] = r.Duration
+		}
+		res[m[0]*m[1]] = float64(dur[0]) / float64(dur[1])
+	}
 	base := res[4]
 	for nodes, sp := range res {
 		if sp <= 1 {

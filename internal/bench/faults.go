@@ -104,17 +104,3 @@ func RenderFaultTolerance(cfg config.SystemConfig) string {
 	}
 	return b.String()
 }
-
-// FabricLossReport summarizes a cluster's injected-fault and recovery
-// counters in one line (used by run headers and tests).
-func FabricLossReport(c *node.Cluster) string {
-	var retx, acks, dead int64
-	for _, nd := range c.Nodes {
-		s := nd.NIC.Stats()
-		retx += s.Retransmits
-		acks += s.AcksSent
-		dead += s.PeersDeclaredDead
-	}
-	return fmt.Sprintf("fabric: lost=%d corrupt=%d; recovery: retx=%d acks=%d peersDead=%d",
-		c.Fabric.MessagesLost(), c.Fabric.MessagesCorrupted(), retx, acks, dead)
-}

@@ -102,30 +102,6 @@ func Figure9(cfg config.SystemConfig) []*stats.Series {
 	return out
 }
 
-// Figure9Weak checks the paper's weak-scaling remark for Jacobi (§5.3):
-// "weak scaling would stay at the same point, since the communication
-// patterns do not significantly change with the introduction of more
-// nodes." It runs the same local grid on growing node meshes and returns
-// GPU-TN's speedup vs HDN per mesh — the values should be nearly flat.
-func Figure9Weak(cfg config.SystemConfig, n int, meshes [][2]int) map[int]float64 {
-	kinds := []backends.Kind{backends.HDN, backends.GPUTN}
-	durs := parallelMap(len(meshes)*len(kinds), func(idx int) sim.Time {
-		px, py := meshes[idx/len(kinds)][0], meshes[idx/len(kinds)][1]
-		kind := kinds[idx%len(kinds)]
-		c := node.NewCluster(cfg, px*py)
-		res, err := jacobi.Run(c, jacobi.Params{Kind: kind, N: n, PX: px, PY: py, Iters: Fig9Iters})
-		if err != nil {
-			panic(fmt.Sprintf("bench: figure9weak %s %dx%d: %v", kind, px, py, err))
-		}
-		return res.Duration
-	})
-	out := map[int]float64{}
-	for mi, m := range meshes {
-		out[m[0]*m[1]] = float64(durs[mi*len(kinds)]) / float64(durs[mi*len(kinds)+1])
-	}
-	return out
-}
-
 // RenderFigure9 formats Figure 9 as its table and plot.
 func RenderFigure9(series []*stats.Series) string {
 	return stats.RenderSeries("Figure 9: Jacobi speedup vs HDN (2x2 nodes, per-iteration)", "N", series) + "\n" +

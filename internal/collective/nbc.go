@@ -15,18 +15,15 @@ import (
 // dependencies... the collective operation is performed asynchronously by
 // stepping through the schedule of tasks in the MPI runtime itself."
 //
-// A Schedule is a sequence of rounds; every subtask of a round may proceed
-// concurrently, and a round completes when all its sends have locally
-// completed, all its receives have arrived, and all its local operations
-// have run. Start returns a Request that progresses in the background, so
-// the caller can overlap computation — the "non-blocking" in NBC.
-//
-// Schedules consisting purely of data movement can also be handed to the
-// NIC wholesale: Offload converts every send into a Portals triggered
-// operation gated on the count of preceding receives, after which the NIC
+// A Schedule is a sequence of rounds of sends and receives; every subtask
+// of a round may proceed concurrently, and a round's sends wait for all
+// receives of the rounds before it. Offload hands the schedule to the NIC
+// wholesale: it converts every send into a Portals triggered operation
+// gated on the count of preceding receives, after which the NIC
 // progresses the entire collective with no host or GPU involvement —
 // "collective operations were one of the original motivations for the
-// introduction of triggered network semantics".
+// introduction of triggered network semantics". It returns a Request, so
+// the caller can overlap computation — the "non-blocking" in NBC.
 
 // ActionKind enumerates schedule subtasks.
 type ActionKind int
@@ -36,9 +33,6 @@ const (
 	ActSend ActionKind = iota
 	// ActRecv waits for Count inbound messages on the schedule's region.
 	ActRecv
-	// ActOp runs a local operation: Duration of modeled time and an
-	// optional data transform.
-	ActOp
 )
 
 func (k ActionKind) String() string {
@@ -47,8 +41,6 @@ func (k ActionKind) String() string {
 		return "send"
 	case ActRecv:
 		return "recv"
-	case ActOp:
-		return "op"
 	default:
 		return fmt.Sprintf("ActionKind(%d)", int(k))
 	}
@@ -67,10 +59,6 @@ type Action struct {
 
 	// Recv fields.
 	Count int64
-
-	// Op fields.
-	Duration sim.Time
-	Fn       func()
 }
 
 // Schedule is a per-rank plan: rounds execute in order; subtasks within a
@@ -95,10 +83,6 @@ func (s *Schedule) Validate(rank, size int) error {
 				if a.Count <= 0 {
 					return fmt.Errorf("collective: round %d action %d: recv count %d", ri, ai, a.Count)
 				}
-			case ActOp:
-				if a.Duration < 0 {
-					return fmt.Errorf("collective: round %d action %d: negative duration", ri, ai)
-				}
 			default:
 				return fmt.Errorf("collective: round %d action %d: unknown kind", ri, ai)
 			}
@@ -118,19 +102,6 @@ func (s *Schedule) recvsBefore(k int) int64 {
 		}
 	}
 	return total
-}
-
-// DataMovementOnly reports whether the schedule contains no ActOp
-// subtasks (eligible for full NIC offload).
-func (s *Schedule) DataMovementOnly() bool {
-	for _, round := range s.Rounds {
-		for _, a := range round {
-			if a.Kind == ActOp {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Request is an in-flight non-blocking collective.
@@ -172,67 +143,9 @@ func NewNBC(nd *node.Node, matchBits uint64) *NBC {
 	return n
 }
 
-// Start launches a schedule asynchronously and returns its Request. The
-// host progress engine (a background process, standing in for libNBC's
-// progression inside the MPI runtime) steps one round at a time.
-func (n *NBC) Start(sched *Schedule) (*Request, error) {
-	rank, size := n.nd.Ptl.Rank(), n.nd.Ptl.Size()
-	if err := sched.Validate(rank, size); err != nil {
-		return nil, err
-	}
-	req := &Request{done: sim.NewCounter(n.nd.Eng)}
-	base := n.consumed
-	n.consumed += sched.recvsBefore(len(sched.Rounds))
-	n.nd.Eng.GoLane(n.nd.Lane, fmt.Sprintf("nbc.%d", rank), func(p *sim.Proc) {
-		var recvd int64
-		for _, round := range sched.Rounds {
-			sendCT := n.nd.Ptl.CTAlloc()
-			sends := 0
-			var recvTarget int64
-			var opTime sim.Time
-			for _, a := range round {
-				switch a.Kind {
-				case ActSend:
-					payload := any(nil)
-					if a.Payload != nil {
-						pf := a.Payload
-						payload = nic.Deferred(func() any { return pf() })
-					}
-					md := n.nd.Ptl.MDBind("nbc", a.Size, payload, sendCT)
-					n.nd.CPU.SendProcessing(p)
-					n.nd.Ptl.Put(p, md, a.Size, a.Peer, a.MatchBits)
-					sends++
-				case ActRecv:
-					recvTarget += a.Count
-				case ActOp:
-					if a.Duration > opTime {
-						opTime = a.Duration
-					}
-					if a.Fn != nil {
-						a.Fn()
-					}
-				}
-			}
-			// Round barrier: sends locally complete, recvs arrive, op time.
-			if opTime > 0 {
-				p.Sleep(opTime)
-			}
-			if recvTarget > 0 {
-				recvd += recvTarget
-				n.recvCT.Wait(p, base+recvd)
-			}
-			if sends > 0 {
-				sendCT.Wait(p, int64(sends))
-			}
-		}
-		req.done.Add(1)
-	})
-	return req, nil
-}
-
-// Offload hands a data-movement-only schedule to the NIC: every send of
-// round k becomes a triggered put gated on the arrival of all receives of
-// rounds < k (counted on the NBC's receive CT). The call returns once the
+// Offload hands a schedule to the NIC: every send of round k becomes a
+// triggered put gated on the arrival of all receives of rounds < k
+// (counted on the NBC's receive CT). The call returns once the
 // operations are registered; the NIC then progresses the collective with
 // no further host involvement. The returned Request completes when the
 // final round's receives have arrived and all sends have locally
@@ -241,9 +154,6 @@ func (n *NBC) Offload(p *sim.Proc, sched *Schedule) (*Request, error) {
 	rank, size := n.nd.Ptl.Rank(), n.nd.Ptl.Size()
 	if err := sched.Validate(rank, size); err != nil {
 		return nil, err
-	}
-	if !sched.DataMovementOnly() {
-		return nil, fmt.Errorf("collective: offload requires a data-movement-only schedule")
 	}
 	base := n.consumed
 	totalRecvs := sched.recvsBefore(len(sched.Rounds))

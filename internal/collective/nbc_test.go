@@ -72,24 +72,6 @@ func agSchedule(t testing.TB, rank int, ranks []*agRank, blockElems int) *Schedu
 	return sched
 }
 
-func TestNBCAllgatherStart(t *testing.T) {
-	const n, blockElems = 5, 16
-	c, ranks := newAllgatherWorld(t, n, blockElems)
-	for i := 0; i < n; i++ {
-		i := i
-		c.Eng.Go(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
-			req, err := ranks[i].nbc.Start(agSchedule(t, i, ranks, blockElems))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			req.Wait(p)
-		})
-	}
-	c.Run()
-	checkAllgather(t, ranks, blockElems)
-}
-
 func TestNBCAllgatherOffload(t *testing.T) {
 	// The same collective fully offloaded to the NIC: the host registers
 	// triggered puts and goes idle; chained triggered operations progress
@@ -124,96 +106,47 @@ func TestNBCAllgatherOffload(t *testing.T) {
 	}
 }
 
+// The point of NBC: the host computes while the NIC runs the offloaded
+// allgather, so compute and collective overlap instead of adding up.
 func TestNBCNonBlockingOverlap(t *testing.T) {
-	// The point of NBC: the caller computes while the collective runs.
 	const n, blockElems = 4, 256
-	c, ranks := newAllgatherWorld(t, n, blockElems)
-	var computeDone, collectiveDone sim.Time
-	for i := 0; i < n; i++ {
-		i := i
-		c.Eng.Go(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
-			req, err := ranks[i].nbc.Start(agSchedule(t, i, ranks, blockElems))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			p.Sleep(3 * sim.Microsecond) // overlapped computation
-			if i == 0 {
-				computeDone = p.Now()
-			}
-			req.Wait(p)
-			if i == 0 {
-				collectiveDone = p.Now()
-			}
-		})
-	}
-	c.Run()
-	checkAllgather(t, ranks, blockElems)
-	if computeDone == 0 || collectiveDone < computeDone {
-		t.Fatalf("compute %v / collective %v", computeDone, collectiveDone)
-	}
-}
-
-// Start runs a round's local operations only after the previous round's
-// receives have landed, charges their modeled time, and resolves a later
-// round's send payload after them: a three-rank chain 0 -> 1 -> 2 where
-// rank 1 doubles what it received before forwarding it.
-func TestNBCStartRunsOpRounds(t *testing.T) {
-	// Long enough to dominate the host send path after the op.
-	const opTime = 50 * sim.Microsecond
-	c := node.NewCluster(config.Default(), 3)
-	nbcs := make([]*NBC, 3)
-	inbox := make([]float64, 3)
-	landed := make([]sim.Time, 3)
-	for i := range nbcs {
-		i := i
-		nbcs[i] = NewNBC(c.Nodes[i], nbcMB)
-		nbcs[i].OnDelivery = func(d nic.Delivery) { inbox[i], landed[i] = d.Data.(float64), d.At }
-	}
-	var doubled float64
-	var forwarded sim.Time
-	send := func(peer int, v func() any) Action {
-		return Action{Kind: ActSend, Peer: peer, Size: 8, MatchBits: nbcMB, Payload: v}
-	}
-	scheds := []*Schedule{
-		{Rounds: [][]Action{{send(1, func() any { return 7.0 })}}},
-		{Rounds: [][]Action{
-			{{Kind: ActRecv, Count: 1}},
-			{{Kind: ActOp, Duration: opTime, Fn: func() { doubled = 2 * inbox[1] }}},
-			{send(2, func() any { forwarded = c.Eng.Now(); return doubled })},
-		}},
-		{Rounds: [][]Action{{{Kind: ActRecv, Count: 1}}}},
-	}
-	for i := range nbcs {
-		i := i
-		c.Eng.Go(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
-			req, err := nbcs[i].Start(scheds[i])
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			req.Wait(p)
-		})
-	}
-	c.Run()
-	if inbox[2] != 14 {
-		t.Fatalf("rank 2 received %v, want 14", inbox[2])
-	}
-	if forwarded < landed[1]+opTime {
-		t.Fatalf("rank 1 forwarded at %v, before landing %v + op %v", forwarded, landed[1], opTime)
-	}
-}
-
-func TestNBCOffloadRejectsOps(t *testing.T) {
-	c := node.NewCluster(config.Default(), 2)
-	n := NewNBC(c.Nodes[0], nbcMB)
-	sched := &Schedule{Rounds: [][]Action{{{Kind: ActOp, Duration: 1}}}}
-	c.Eng.Go("h", func(p *sim.Proc) {
-		if _, err := n.Offload(p, sched); err == nil {
-			t.Error("offload accepted a schedule with ops")
+	// run offloads the allgather, computes for compute on every host, then
+	// waits; it returns when rank 0 finished computing and collecting.
+	run := func(compute sim.Time) (computeDone, collectiveDone sim.Time) {
+		c, ranks := newAllgatherWorld(t, n, blockElems)
+		for i := 0; i < n; i++ {
+			i := i
+			c.Eng.Go(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
+				req, err := ranks[i].nbc.Offload(p, agSchedule(t, i, ranks, blockElems))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				p.Sleep(compute) // overlapped computation
+				if i == 0 {
+					computeDone = p.Now()
+				}
+				req.Wait(p)
+				if i == 0 {
+					collectiveDone = p.Now()
+				}
+			})
 		}
-	})
-	c.Run()
+		c.Run()
+		checkAllgather(t, ranks, blockElems)
+		return computeDone, collectiveDone
+	}
+	_, alone := run(0)
+	computeDone, collectiveDone := run(alone)
+	// Serialized, the two would take 2*alone; overlapped, the collective
+	// has finished by the time the host computation ends.
+	if computeDone < alone || collectiveDone >= 2*alone {
+		t.Fatalf("compute done %v / collective done %v: serialized (collective alone %v)", computeDone, collectiveDone, alone)
+	}
+	if collectiveDone != computeDone {
+		t.Fatalf("collective done %v after compute done %v: no overlap (collective alone %v)",
+			collectiveDone, computeDone, alone)
+	}
 }
 
 func TestScheduleValidate(t *testing.T) {
@@ -222,7 +155,6 @@ func TestScheduleValidate(t *testing.T) {
 		{Rounds: [][]Action{{{Kind: ActSend, Peer: 9}}}},           // range
 		{Rounds: [][]Action{{{Kind: ActSend, Peer: 1, Size: -1}}}}, // size
 		{Rounds: [][]Action{{{Kind: ActRecv, Count: 0}}}},          // count
-		{Rounds: [][]Action{{{Kind: ActOp, Duration: -1}}}},        // duration
 		{Rounds: [][]Action{{{Kind: ActionKind(9)}}}},              // kind
 	}
 	for i, s := range bad {
@@ -232,13 +164,10 @@ func TestScheduleValidate(t *testing.T) {
 	}
 	good := &Schedule{Rounds: [][]Action{
 		{{Kind: ActSend, Peer: 1, Size: 64}, {Kind: ActRecv, Count: 1}},
-		{{Kind: ActOp, Duration: 5}},
+		{{Kind: ActSend, Peer: 2, Size: 64}},
 	}}
 	if err := good.Validate(0, 4); err != nil {
 		t.Errorf("good schedule rejected: %v", err)
-	}
-	if good.DataMovementOnly() {
-		t.Error("schedule with op claimed data-movement-only")
 	}
 	if got := good.recvsBefore(0); got != 0 {
 		t.Errorf("recvsBefore(0) = %d", got)
@@ -252,7 +181,7 @@ func TestScheduleValidate(t *testing.T) {
 }
 
 func TestActionKindString(t *testing.T) {
-	if ActSend.String() != "send" || ActRecv.String() != "recv" || ActOp.String() != "op" {
+	if ActSend.String() != "send" || ActRecv.String() != "recv" {
 		t.Error("kind strings wrong")
 	}
 	if ActionKind(7).String() != "ActionKind(7)" {

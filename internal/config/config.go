@@ -114,8 +114,8 @@ type FaultConfig struct {
 	// CorruptProb is the per-packet corruption probability; a corrupted
 	// packet marks its whole message corrupt (checksum failure at the
 	// receiving NIC). Like gray-link loss, the draw is per MTU packet, so
-	// the chance a multi-packet chunk arrives corrupt compounds:
-	// CompoundPerPacket converts the per-packet rate to the per-chunk rate
+	// the chance a multi-packet chunk arrives corrupt compounds across its
+	// ceil(bytes/MTU) packets: 1-(1-p)^packets, the per-chunk rate
 	// ablations should quote (e.g. 2% per packet over a 64KB/4KB chunk is
 	// 1-(1-0.02)^16 ~ 28% per chunk).
 	CorruptProb float64
@@ -173,26 +173,6 @@ func (f FaultConfig) Enabled() bool {
 		f.Partition.Enabled() || f.Degrade.Enabled() || f.SDC.Enabled() ||
 		f.Slow.Enabled() || f.Switch.Enabled() ||
 		f.DebugDoubleFire || f.DebugStaleDeliver
-}
-
-// CompoundPerPacket converts a per-packet probability (loss, corruption)
-// into the probability that a chunk of the given size is affected at least
-// once, compounding across its ceil(bytes/mtu) MTU segments. This is the
-// rate ablations should quote so per-packet corruption and per-chunk loss
-// sweeps are comparable.
-func CompoundPerPacket(p float64, bytes, mtu int64) float64 {
-	if p <= 0 || bytes <= 0 || mtu <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return 1
-	}
-	pkts := (bytes + mtu - 1) / mtu
-	keep := 1.0
-	for i := int64(0); i < pkts; i++ {
-		keep *= 1 - p
-	}
-	return 1 - keep
 }
 
 // SDCConfig schedules deterministic silent-data-corruption injection:

@@ -56,21 +56,6 @@ func (c *CPU) ComputeTime(ops, bytes, workingSet int64) sim.Time {
 	return mem
 }
 
-// SerialComputeTime estimates a single-core compute phase.
-func (c *CPU) SerialComputeTime(ops, bytes, workingSet int64) sim.Time {
-	arith := c.arithTime(ops, 1)
-	mem := c.memTime(bytes, workingSet)
-	if arith > mem {
-		return arith
-	}
-	return mem
-}
-
-// ParallelCompute advances p by ComputeTime (an OpenMP parallel-for).
-func (c *CPU) ParallelCompute(p *sim.Proc, ops, bytes, workingSet int64) {
-	p.Sleep(c.ComputeTime(ops, bytes, workingSet))
-}
-
 func (c *CPU) arithTime(ops int64, cores int) sim.Time {
 	if ops <= 0 {
 		return 0

@@ -52,8 +52,8 @@ func TestSendRecvProcessing(t *testing.T) {
 
 func TestParallelSpeedupOverSerial(t *testing.T) {
 	_, c := newCPU(t)
-	ops := int64(1 << 24) // compute-bound
-	serial := c.SerialComputeTime(ops, 0, 0)
+	ops := int64(1 << 24)         // compute-bound
+	serial := c.arithTime(ops, 1) // one core
 	par := c.ComputeTime(ops, 0, 0)
 	ratio := float64(serial) / float64(par)
 	if ratio < 7.5 || ratio > 8.5 {
@@ -84,21 +84,8 @@ func TestCacheResidentFasterThanDRAM(t *testing.T) {
 
 func TestZeroWork(t *testing.T) {
 	_, c := newCPU(t)
-	if c.ComputeTime(0, 0, 0) != 0 || c.SerialComputeTime(0, 0, 0) != 0 {
+	if c.ComputeTime(0, 0, 0) != 0 || c.arithTime(0, 1) != 0 {
 		t.Fatal("zero work must take zero time")
-	}
-}
-
-func TestParallelComputeAdvancesClock(t *testing.T) {
-	eng, c := newCPU(t)
-	var at sim.Time
-	eng.Go("p", func(p *sim.Proc) {
-		c.ParallelCompute(p, 1<<20, 0, 0)
-		at = p.Now()
-	})
-	eng.Run()
-	if at != c.ComputeTime(1<<20, 0, 0) {
-		t.Fatalf("clock advanced %v", at)
 	}
 }
 

@@ -187,28 +187,6 @@ func (p *SlowPlan) DMADilate(now sim.Time, node int, d sim.Time) sim.Time {
 	return sim.Time(float64(d) * factor)
 }
 
-// MaxFactor returns the largest armed slowdown factor in the schedule
-// across all classes and windows — the ground truth ablations compare the
-// detector's estimate against.
-func (p *SlowPlan) MaxFactor() float64 {
-	if p == nil {
-		return 1
-	}
-	max := 1.0
-	for i := range p.cfg.Windows {
-		w := &p.cfg.Windows[i]
-		if w.Until <= w.From {
-			continue
-		}
-		for _, f := range []float64{w.GPUFactor, w.CmdFactor, w.DMAFactor} {
-			if f > max {
-				max = f
-			}
-		}
-	}
-	return max
-}
-
 // Summary renders the schedule for run headers; empty for nil.
 func (p *SlowPlan) Summary() string {
 	if p == nil {

@@ -40,8 +40,8 @@ type Kernel struct {
 // WGCtx is the execution context handed to a kernel body for one
 // work-group: the paper's kernel API surface (§4.2) plus cost accounting.
 //
-// A work-group runs ahead on its own clock. Compute, Barrier, FenceSystem,
-// Diverge and the cost of a store add to lag instead of sleeping, because
+// A work-group runs ahead on its own clock. Compute, Barrier, FenceSystem
+// and the cost of a store add to lag instead of sleeping, because
 // no other entity can observe a work-group between them. A StoreTag is
 // recorded, not applied: it is pending until the work-group's next step.
 // The lag is paid as one sleep at the next point that is observable:

@@ -402,73 +402,6 @@ func TestFigure1StudyShape(t *testing.T) {
 	}
 }
 
-func TestWavefronts(t *testing.T) {
-	eng, g := newGPU(t)
-	var counts []int
-	eng.Go("host", func(p *sim.Proc) {
-		for _, size := range []int{1, 64, 65, 256} {
-			g.LaunchSync(p, &Kernel{
-				Name: "k", WorkGroups: 1, WGSize: size,
-				Body: func(wg *WGCtx) { counts = append(counts, wg.Wavefronts()) },
-			})
-		}
-	})
-	eng.Run()
-	want := []int{1, 1, 2, 4}
-	for i, w := range want {
-		if counts[i] != w {
-			t.Fatalf("wavefronts = %v, want %v", counts, want)
-		}
-	}
-}
-
-func TestDivergeMaskSerialization(t *testing.T) {
-	eng, g := newGPU(t)
-	var uniform0, uniform1, mixed sim.Time
-	eng.Go("host", func(p *sim.Proc) {
-		g.LaunchSync(p, &Kernel{
-			Name: "k", WorkGroups: 1,
-			Body: func(wg *WGCtx) {
-				t0 := wg.Now()
-				wg.Diverge(0, 100*sim.Nanosecond, 40*sim.Nanosecond)
-				uniform0 = wg.Now() - t0
-				t0 = wg.Now()
-				wg.Diverge(1, 100*sim.Nanosecond, 40*sim.Nanosecond)
-				uniform1 = wg.Now() - t0
-				t0 = wg.Now()
-				wg.Diverge(0.5, 100*sim.Nanosecond, 40*sim.Nanosecond)
-				mixed = wg.Now() - t0
-			},
-		})
-	})
-	eng.Run()
-	if uniform0 != 40*sim.Nanosecond || uniform1 != 100*sim.Nanosecond {
-		t.Fatalf("uniform paths = %v / %v", uniform0, uniform1)
-	}
-	if mixed != 140*sim.Nanosecond {
-		t.Fatalf("divergent branch = %v, want serialized 140ns", mixed)
-	}
-}
-
-func TestDivergeLeader(t *testing.T) {
-	eng, g := newGPU(t)
-	var dur sim.Time
-	eng.Go("host", func(p *sim.Proc) {
-		g.LaunchSync(p, &Kernel{
-			Name: "k", WorkGroups: 1,
-			Body: func(wg *WGCtx) {
-				t0 := wg.Now()
-				wg.DivergeLeader(75 * sim.Nanosecond)
-				dur = wg.Now() - t0
-			},
-		})
-	})
-	eng.Run()
-	if dur != 75*sim.Nanosecond {
-		t.Fatalf("leader branch = %v", dur)
-	}
-}
-
 // newGPUSlots is newGPU with n work-group slots.
 func newGPUSlots(t testing.TB, n int) (*sim.Engine, *GPU) {
 	t.Helper()

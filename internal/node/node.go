@@ -335,15 +335,6 @@ func (c *Cluster) GoRank(i int, name string, fn func(p *sim.Proc)) *sim.Proc {
 	return nd.Eng.GoLane(nd.Lane, name, fn)
 }
 
-// GoEach spawns one host process per node (rank order), the common shape
-// of every experiment driver.
-func (c *Cluster) GoEach(name string, fn func(p *sim.Proc, nd *Node)) {
-	for _, nd := range c.Nodes {
-		nd := nd
-		c.GoRank(nd.Index, fmt.Sprintf("%s.%d", name, nd.Index), func(p *sim.Proc) { fn(p, nd) })
-	}
-}
-
 // Diagnose builds a hang diagnosis after a run that left ranks incomplete:
 // the engine's blocked waiters plus every node's starved trigger entries.
 // It returns nil when the simulation shows no evidence of a hang.

@@ -124,16 +124,6 @@ func TestDiscreteGPUAddsIOBusHop(t *testing.T) {
 	}
 }
 
-func TestGoEachSpawnsAllRanks(t *testing.T) {
-	c := NewCluster(config.Default(), 3)
-	seen := map[int]bool{}
-	c.GoEach("t", func(p *sim.Proc, nd *Node) { seen[nd.Index] = true })
-	c.Run()
-	if len(seen) != 3 {
-		t.Fatalf("seen = %v", seen)
-	}
-}
-
 func TestRunUntilAdvances(t *testing.T) {
 	c := NewCluster(config.Default(), 1)
 	c.RunUntil(5 * sim.Microsecond)

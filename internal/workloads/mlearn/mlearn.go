@@ -115,36 +115,6 @@ func Project(w Workload, times map[backends.Kind]sim.Time) map[backends.Kind]flo
 	return out
 }
 
-// ProjectFromTrace projects speedups by walking a synthetic trace event by
-// event: total time = Σ compute + Σ t_B(size_i), with t_B interpolated
-// from the per-backend time of the mean size scaled linearly in bytes
-// beyond a fixed per-call overhead. It cross-validates the closed-form
-// Project on real traces.
-func ProjectFromTrace(trace []ReductionCall, w Workload, times map[backends.Kind]sim.Time) map[backends.Kind]float64 {
-	if len(trace) == 0 {
-		panic("mlearn: empty trace")
-	}
-	// Decompose each backend's time at the mean size into fixed + linear
-	// parts using the HDN overhead share as an approximation anchor.
-	total := map[backends.Kind]float64{}
-	var compute float64
-	for _, c := range trace {
-		compute += float64(c.ComputeBefore)
-	}
-	for kind, t := range times {
-		var comm float64
-		for _, c := range trace {
-			comm += float64(t) * float64(c.Bytes) / float64(w.AvgMsgBytes)
-		}
-		total[kind] = compute + comm
-	}
-	out := map[backends.Kind]float64{}
-	for kind := range times {
-		out[kind] = total[backends.HDN] / total[kind]
-	}
-	return out
-}
-
 // StudyResult is Figure 11's data: per-workload, per-backend speedup
 // relative to HDN on a fixed-size cluster.
 type StudyResult struct {

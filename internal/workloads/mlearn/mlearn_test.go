@@ -108,13 +108,29 @@ func TestGenerateTraceDeterministic(t *testing.T) {
 	}
 }
 
-func TestProjectFromTraceAgreesWithClosedForm(t *testing.T) {
+func TestTraceWalkAgreesWithClosedForm(t *testing.T) {
 	w := Workload{PctBlocked: 0.3, AvgMsgBytes: 1 << 20}
 	times := map[backends.Kind]sim.Time{
 		backends.HDN: 200 * sim.Microsecond, backends.GPUTN: 140 * sim.Microsecond,
 	}
 	trace := GenerateTrace(w, 2000, times[backends.HDN], 11)
-	fromTrace := ProjectFromTrace(trace, w, times)
+	// Walk the trace call by call: total time = Σ compute + Σ t_B scaled
+	// linearly in each call's bytes from the backend's time at the mean size.
+	var compute float64
+	for _, c := range trace {
+		compute += float64(c.ComputeBefore)
+	}
+	total := map[backends.Kind]float64{}
+	for kind, tB := range times {
+		total[kind] = compute
+		for _, c := range trace {
+			total[kind] += float64(tB) * float64(c.Bytes) / float64(w.AvgMsgBytes)
+		}
+	}
+	fromTrace := map[backends.Kind]float64{}
+	for kind := range times {
+		fromTrace[kind] = total[backends.HDN] / total[kind]
+	}
 	closed := Project(w, times)
 	for kind := range times {
 		if math.Abs(fromTrace[kind]-closed[kind]) > 0.05 {
