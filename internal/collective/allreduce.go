@@ -191,7 +191,19 @@ type rankState struct {
 	// only when the predecessor's own receive progress shows it holds the
 	// awaited step's inputs.
 	peers []*rankState
+
+	// recycle is set when nothing can read a chunk snapshot after its
+	// receiver applied it: with NIC reliability off a put is framed once
+	// and delivered at most once (a retransmission could read it again).
+	// Then sendPayload draws snapshots from free, and applyChunk puts the
+	// applied buffer on the receiver's own free list, so each list is only
+	// touched on its node's lane.
+	recycle bool
+	free    [][]float32
 }
+
+// recycles reports whether a rank on nd may recycle chunk snapshots.
+func recycles(nd *node.Node) bool { return !nd.NIC.Config().Reliability.Enabled }
 
 // computePhase runs the modeled application compute kernel preceding the
 // reduction (ComputePhase > 0): one work-group computing for d on the
@@ -216,18 +228,6 @@ func (st *rankState) hostRecv(p *sim.Proc, target int64) error {
 		return backends.HostRecvWaitTimeout(p, st.nd, st.recvCT, target, st.timeout)
 	}
 	return st.hedge.recvHost(p, st, target)
-}
-
-// pollRecv waits for the round's delivery inside a GPU-TN kernel, hedged
-// when armed.
-func (st *rankState) pollRecv(wg *gpu.WGCtx, step int) error {
-	if st.hedge == nil {
-		if !wg.PollUntilFor(st.recvCT.Raw(), int64(step)+1, st.timeout) {
-			return portals.ErrTimeout
-		}
-		return nil
-	}
-	return st.hedge.pollGPU(wg, st, step)
 }
 
 // applyChunk lands one ring chunk into the rank's vector: claim
@@ -285,6 +285,9 @@ func (st *rankState) applyChunk(msg chunkMsg) {
 		if v != nil {
 			v.taint[r.RecvChunk] = true
 		}
+	}
+	if st.recycle {
+		st.free = append(st.free, msg.vals[:0])
 	}
 }
 
@@ -377,6 +380,7 @@ func Run(c *node.Cluster, cfg Config) (Result, error) {
 			tagBase: 0,
 			timeout: cfg.Timeout,
 			sdc:     c.Nodes[i].NIC.Injector().SDC(),
+			recycle: recycles(c.Nodes[i]),
 		}
 		if heal {
 			st.ring, st.pos = alive, pos
@@ -521,7 +525,11 @@ func (st *rankState) sendPayload(r Round) any {
 	chunk := r.SendChunk
 	return nic.Deferred(func() any {
 		lo, hi := ChunkRange(st.nelems, st.nranks, chunk)
-		m := chunkMsg{step: step, vals: append([]float32(nil), st.vec[lo:hi]...)}
+		var buf []float32
+		if n := len(st.free); n > 0 {
+			buf, st.free = st.free[n-1], st.free[:n-1]
+		}
+		m := chunkMsg{step: step, vals: append(buf, st.vec[lo:hi]...)}
 		if v := st.verify; v != nil {
 			m.tainted = v.taint[chunk]
 			if v.check {
@@ -669,41 +677,19 @@ func runGDSRank(p *sim.Proc, st *rankState) error {
 func runGPUTNRank(p *sim.Proc, st *rankState) error {
 	host := core.NewHost(st.nd.Eng, st.nd.Ptl, st.nd.GPU)
 	comp := host.NewCompletion()
-	trig := host.GetTriggerAddr()
+	rk := &ringKernel{
+		st:         st,
+		trig:       host.GetTriggerAddr(),
+		perWG:      st.gpuReducePerWGTime(),
+		wgs:        make([]ringWG, reduceWGs),
+		failedStep: -1,
+	}
 	total := len(st.rounds)
-	perWG := st.gpuReducePerWGTime()
 	rounds := st.rounds
-	failedStep := -1
-	var failCause error
-
-	// Persistent kernel: all rounds inside one kernel dispatch. With a
-	// timeout (or hedge) armed, a work-group that gives up on a round
-	// records the step and exits; its siblings observe the sticky flag and
-	// follow, reading it at their own time (wg.Sync).
-	abortable := st.timeout > 0 || st.hedge != nil
 	kern := &gpu.Kernel{
 		Name:       fmt.Sprintf("gputn.allreduce.%d", st.nd.Index),
 		WorkGroups: reduceWGs,
-		Body: func(wg *gpu.WGCtx) {
-			for _, r := range rounds {
-				if abortable {
-					wg.Sync()
-				}
-				if failedStep >= 0 && failedStep <= r.Step {
-					return
-				}
-				core.TriggerKernel(wg, trig, st.tagBase+uint64(r.Step))
-				if perr := st.pollRecv(wg, r.Step); perr != nil {
-					if failedStep < 0 || r.Step < failedStep {
-						failedStep, failCause = r.Step, perr
-					}
-					return
-				}
-				if r.Reduce {
-					wg.Compute(perWG)
-				}
-			}
-		},
+		Step:       rk.step,
 	}
 	host.LaunchKern(kern)
 
@@ -734,7 +720,7 @@ func runGPUTNRank(p *sim.Proc, st *rankState) error {
 			// Sliced pacing wait: break out within one hedge slice of the
 			// kernel abandoning its hop, instead of waiting out Timeout
 			// against completions that will never come.
-			if err := st.hedge.waitComp(p, st, comp.CT.Raw(), int64(s-window)+1, func() bool { return failedStep >= 0 }); err != nil {
+			if err := st.hedge.waitComp(p, st, comp.CT.Raw(), int64(s-window)+1, func() bool { return rk.failedStep >= 0 }); err != nil {
 				break
 			}
 		} else if st.timeout > 0 {
@@ -749,11 +735,131 @@ func runGPUTNRank(p *sim.Proc, st *rankState) error {
 		}
 	}
 	kern.Wait(p)
-	if failedStep >= 0 {
-		if failCause == nil {
-			failCause = portals.ErrTimeout
+	if rk.failedStep >= 0 {
+		if rk.failCause == nil {
+			rk.failCause = portals.ErrTimeout
 		}
-		return st.neighborFailed(failedStep, failCause)
+		return st.neighborFailed(rk.failedStep, rk.failCause)
 	}
 	return nil
+}
+
+// ringKernel is the persistent kernel of runGPUTNRank: every round, each
+// work-group stores the round's tag (Figure 7c), polls for the
+// neighbour's chunk and reduces it in place. Its work-groups are
+// stackless (gpu.Kernel.Step), and wgs holds each one's place. With a
+// timeout (or hedge) armed, a work-group that gives up on a round records
+// the step and exits; its siblings observe the sticky failedStep and
+// follow, reading it at their own time (after a Pause).
+type ringKernel struct {
+	st    *rankState
+	trig  portals.TriggerAddr
+	perWG sim.Time
+	wgs   []ringWG
+
+	failedStep int // -1 while no work-group has given up
+	failCause  error
+}
+
+// ringWG is one work-group's place in the ring kernel: its round, the
+// point of the round it resumes at, and the deadline and hedge state of
+// a timed poll.
+type ringWG struct {
+	round    int
+	at       ringAt
+	deadline sim.Time
+	watch    hopWatch
+}
+
+// ringAt names a point of a ring round.
+type ringAt uint8
+
+const (
+	ringTop     ringAt = iota // sync if abortable
+	ringTrigger               // check the abort flag, store the tag, poll
+	ringArm                   // a timed poll's lag is paid: set its deadline
+	ringSlice                 // wait for the chunk until the (slice) deadline
+	ringPolled                // that wait ended
+	ringReduce                // the chunk is in: reduce it
+)
+
+// step runs work-group wg of the ring kernel up to its next wait. The
+// untimed poll is one Await; a timed one pays the lag, then waits until
+// the deadline, or, hedged, in slices that each report lag against the
+// predecessor or abandon the hop (hedgeRun.expire), up to the deadline.
+func (k *ringKernel) step(wg *gpu.WGCtx) bool {
+	st := k.st
+	s := &k.wgs[wg.Group]
+	abortable := st.timeout > 0 || st.hedge != nil
+	for s.round < len(st.rounds) {
+		r := st.rounds[s.round]
+		ct, target := st.recvCT.Raw(), int64(r.Step)+1
+		switch s.at {
+		case ringTop:
+			s.at = ringTrigger
+			if abortable && wg.Pause() {
+				return true
+			}
+			fallthrough
+		case ringTrigger:
+			if k.failedStep >= 0 && k.failedStep <= r.Step {
+				return false
+			}
+			core.TriggerKernel(wg, k.trig, st.tagBase+uint64(r.Step))
+			if !abortable {
+				s.at = ringReduce
+				if wg.Await(ct, target) {
+					return true
+				}
+				continue
+			}
+			s.at = ringArm
+			if wg.Pause() {
+				return true
+			}
+			fallthrough
+		case ringArm:
+			s.deadline = wg.Now() + st.timeout
+			s.watch = newHopWatch()
+			fallthrough
+		case ringSlice:
+			slice := s.deadline
+			if h := st.hedge; h != nil {
+				slice = min(wg.Now()+h.after, s.deadline)
+			}
+			s.at = ringPolled
+			if wg.AwaitUntil(ct, target, slice) {
+				return true
+			}
+			fallthrough
+		case ringPolled:
+			if !wg.Reached() {
+				var err error
+				if h := st.hedge; h != nil {
+					// Only work-group 0 files lag reports: one observer
+					// per hop, not reduceWGs of them.
+					err = h.expire(st, r.Step, wg.Now(), &s.watch, wg.Group == 0)
+				}
+				if err == nil && wg.Now() >= s.deadline {
+					err = portals.ErrTimeout
+				}
+				if err != nil {
+					if k.failedStep < 0 || r.Step < k.failedStep {
+						k.failedStep, k.failCause = r.Step, err
+					}
+					return false
+				}
+				s.at = ringSlice
+				continue
+			}
+			fallthrough
+		case ringReduce:
+			if r.Reduce {
+				wg.Compute(k.perWG)
+			}
+			s.round++
+			s.at = ringTop
+		}
+	}
+	return false
 }

@@ -16,15 +16,16 @@ import (
 // engine. The simulated duration and the event count must not move (work-
 // group local time took it from 208,336 events, when every kernel-side
 // cost was its own sleep), and the coroutine resumes must stay within the
-// budget that landing each round's trigger store in the wake of its poll
-// bought (from 63,264, when the store's sync and the poll each resumed the
-// work-group), so neither per-step sleeps nor per-store resumes quietly
-// come back.
+// budget that running the ring kernel's work-groups as stackless processes
+// bought (from 32,544, when each work-group was a coroutine resumed at its
+// start and each poll, and 63,264 before that, when a round's trigger
+// store and its poll each resumed it): only the rank processes resume, so
+// neither per-step sleeps nor a work-group coroutine quietly come back.
 func TestGPUTNRingEventBudget(t *testing.T) {
 	const (
 		wantDuration = 67757790 * sim.Picosecond
 		wantEvents   = 131488
-		maxResumes   = 32544
+		maxResumes   = 800
 	)
 	c := node.NewCluster(config.Default(), 16)
 	res, err := Run(c, Config{Kind: backends.GPUTN, TotalBytes: 128 << 10})
@@ -123,4 +124,57 @@ func TestGPUTNJacobiFatTreeBudget(t *testing.T) {
 	if servers > 0 {
 		t.Errorf("%d events dispatched a command or front-end server, first %q", servers, first)
 	}
+}
+
+// TestGPUTNAbortableRingBudget pins the engine cost of the GPU-TN
+// ring kernel's two abortable modes, whose work-groups are stackless like
+// the untimed ring's: the 16-node 128 KB ring with a receive timeout armed
+// (each poll a deadline wait after a sync), and a 4-node hedged ring with a
+// GPU straggler (polls sliced into hedge deadlines that report lag and
+// abandon the hop, then a retry over the responsive ranks). The simulated
+// durations and event counts must not move, and the coroutine resumes are
+// only the host side's: rank and attempt drivers, and the heartbeat
+// tickers of the hedged run. A gputn.allreduce work-group that is a
+// coroutine again resumes at least at its start, 64 per kernel, and breaks
+// the budget (the body form made 78,624 and 5,877).
+func TestGPUTNAbortableRingBudget(t *testing.T) {
+	t.Run("timeout", func(t *testing.T) {
+		const (
+			wantDuration = 67757790 * sim.Picosecond
+			wantEvents   = 146848
+			maxResumes   = 800
+		)
+		c := node.NewCluster(config.Default(), 16)
+		res, err := Run(c, Config{Kind: backends.GPUTN, TotalBytes: 128 << 10, Timeout: 100 * sim.Microsecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Duration != wantDuration {
+			t.Errorf("Duration = %d ps, want %d ps", int64(res.Duration), int64(wantDuration))
+		}
+		if got := c.Eng.Executed(); got != wantEvents {
+			t.Errorf("Executed = %d events, want %d", got, wantEvents)
+		}
+		if got := c.Eng.Resumes(); got > maxResumes {
+			t.Errorf("Resumes = %d, budget %d", got, maxResumes)
+		}
+	})
+	t.Run("hedged", func(t *testing.T) {
+		const (
+			wantDuration = 246767528 * sim.Picosecond
+			wantAttempts = 2
+			wantEvents   = 14884
+			maxResumes   = 1461
+		)
+		res, cl, _ := runHedgedStraggler(t, backends.GPUTN, slowTestSchedule("gpu", 10, 3))
+		if res.Duration != wantDuration || len(res.Attempts) != wantAttempts {
+			t.Errorf("Duration = %d ps after %d attempts, want %d ps after %d", int64(res.Duration), len(res.Attempts), int64(wantDuration), wantAttempts)
+		}
+		if got := cl.Eng.Executed(); got != wantEvents {
+			t.Errorf("Executed = %d events, want %d", got, wantEvents)
+		}
+		if got := cl.Eng.Resumes(); got > maxResumes {
+			t.Errorf("Resumes = %d, budget %d", got, maxResumes)
+		}
+	})
 }

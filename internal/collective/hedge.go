@@ -20,7 +20,6 @@ import (
 	"fmt"
 
 	"repro/internal/backends"
-	"repro/internal/gpu"
 	"repro/internal/health"
 	"repro/internal/node"
 	"repro/internal/portals"
@@ -164,31 +163,6 @@ func (h *hedgeRun) recvHost(p *sim.Proc, st *rankState, target int64) error {
 			return nil
 		}
 		if err := h.expire(st, int(target)-1, p.Now(), &w, true); err != nil {
-			return err
-		}
-		if p.Now() >= deadline {
-			return portals.ErrTimeout
-		}
-	}
-}
-
-// pollGPU is the intra-kernel hedged poll of the GPU-TN backend. Every
-// work-group slices its wait so the whole kernel abandons the hop within
-// one slice of the Slow verdict, but only work-group 0 files lag reports —
-// one observer per hop, not reduceWGs of them.
-func (h *hedgeRun) pollGPU(wg *gpu.WGCtx, st *rankState, step int) error {
-	p := wg.Proc()
-	deadline := p.Now() + st.timeout
-	w := newHopWatch()
-	for {
-		slice := p.Now() + h.after
-		if slice > deadline {
-			slice = deadline
-		}
-		if st.recvCT.Raw().WaitGEUntil(p, int64(step)+1, slice) {
-			return nil
-		}
-		if err := h.expire(st, step, p.Now(), &w, wg.Group == 0); err != nil {
 			return err
 		}
 		if p.Now() >= deadline {

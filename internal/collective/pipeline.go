@@ -65,23 +65,36 @@ func runGPUTNPipelined(p *sim.Proc, st *rankState, ways int) {
 	// from overlapping that time with the other slices' transfers.
 	perSlice := st.gpuReducePerWGTime()
 
+	// round[w] is the round work-group w is in, and sent[w] marks that
+	// it stored the round's tag and began its poll.
+	round := make([]int, ways)
+	sent := make([]bool, ways)
 	kern := &gpu.Kernel{
 		Name:       fmt.Sprintf("gputn.allreduce.pipe.%d", st.nd.Index),
 		WorkGroups: ways,
-		Body: func(wg *gpu.WGCtx) {
+		Step: func(wg *gpu.WGCtx) bool {
 			w := wg.Group
-			for _, r := range rounds {
-				// Send this slice of the outgoing chunk: threshold 1, one
-				// leader store per work-group (Figure 7b).
-				wg.Barrier()
-				wg.FenceSystem()
-				wg.StoreTag(trig, st.tagBase+pipeTag(r.Step, w, ways))
-				// Wait for the neighbour's matching slice, then reduce it.
-				wg.PollUntil(sliceCTs[w].Raw(), int64(r.Step)+1)
+			for ; round[w] < len(rounds); round[w]++ {
+				r := rounds[round[w]]
+				if !sent[w] {
+					// Send this slice of the outgoing chunk: threshold 1,
+					// one leader store per work-group (Figure 7b).
+					wg.Barrier()
+					wg.FenceSystem()
+					wg.StoreTag(trig, st.tagBase+pipeTag(r.Step, w, ways))
+					// Wait for the neighbour's matching slice, then
+					// reduce it.
+					sent[w] = true
+					if wg.Await(sliceCTs[w].Raw(), int64(r.Step)+1) {
+						return true
+					}
+				}
+				sent[w] = false
 				if r.Reduce {
 					wg.Compute(perSlice)
 				}
 			}
+			return false
 		},
 	}
 	host.LaunchKern(kern)

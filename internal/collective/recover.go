@@ -277,6 +277,7 @@ func runAttempt(p *sim.Proc, cl *node.Cluster, cfg RecoverConfig, alive []int, g
 			timeout: cfg.Timeout,
 			sdc:     nd.NIC.Injector().SDC(),
 			hedge:   hedge,
+			recycle: recycles(nd),
 		}
 		if cfg.Data != nil {
 			if len(cfg.Data[i]) != nelems {

@@ -7,7 +7,8 @@
 // Kernel bodies are Go functions executed per work-group inside simulation
 // processes, so intra-kernel behaviour — polling on flags, triggering the
 // NIC mid-kernel, work-group barriers — composes naturally with the rest
-// of the simulated node.
+// of the simulated node. A kernel can instead give a step function, whose
+// work-groups are stackless processes that wait without a coroutine.
 package gpu
 
 import (
@@ -23,9 +24,18 @@ type Kernel struct {
 	Name       string
 	WorkGroups int
 	WGSize     int
-	// Body runs once per work-group. A nil body is an empty kernel (used
-	// by the Figure 1 launch-latency study), unless WGTime is set.
+	// Body runs once per work-group. A kernel with none of Body, Step and
+	// WGTime is an empty kernel (used by the Figure 1 launch-latency
+	// study).
 	Body func(wg *WGCtx)
+	// Step, in place of Body, is a work-group's step function: it runs at
+	// the group's start (with its CU slot held) and again when each wait
+	// it began ends, and reports true when it began one (Pause, Land,
+	// Await or AwaitUntil reported true) and false when the group is done.
+	// Its work-groups are stackless processes (sim.Engine.GoStep), so a
+	// wait resumes no coroutine; the step keeps its place per Group in
+	// state of its own. Between waits it runs exactly as a body would.
+	Step func(wg *WGCtx) bool
 	// WGTime, for a kernel with no body, is each work-group's duration:
 	// it holds a CU slot for WGTime (stretched by a fail-slow dilation
 	// hook, as Compute is) and does nothing else, so its work-groups run
@@ -54,6 +64,13 @@ type Kernel struct {
 // wg.Now(), and a body that reads or writes state shared with other
 // entities does so inside a store's effect or after wg.Sync() (or
 // wg.Now()).
+//
+// A Step kernel's work-group cannot park, so it waits through the forms
+// that return instead: Pause for Sync, Land before any step but a poll
+// while a tag store is pending, Await for PollUntil, and Pause then
+// AwaitUntil for PollUntilFor. Sync, Proc, PollUntil, PollUntilFor, an
+// effect's AtomicStoreSystem, and any step that would flush a pending
+// store panic there if they have lag to pay; Now is for a paid lag.
 type WGCtx struct {
 	gpu *GPU
 	p   *sim.Proc
@@ -64,6 +81,10 @@ type WGCtx struct {
 	// the lag.
 	tw  sim.TagWriter
 	tag uint64
+	// k is the kernel of a Step work-group (nil for a body), and stage
+	// where its process is.
+	k     *Kernel
+	stage wgStage
 
 	// Group is the work-group id (get_group_id), NumGroups the dispatch
 	// width in work-groups, and WGSize the work-items per group.
@@ -81,10 +102,7 @@ func (w *WGCtx) Sync() {
 		w.lag = 0
 		w.p.Sleep(d)
 	}
-	if t := w.tw; t != nil {
-		w.tw = nil
-		t.Write(w.tag)
-	}
+	w.landNow()
 }
 
 // advance lands a pending tag store, then adds d of unobservable
@@ -170,6 +188,56 @@ func (w *WGCtx) PollUntil(c *sim.Counter, target int64) {
 	w.Sync()
 	c.WaitGE(w.p, target)
 }
+
+// Pause is Sync for a Step kernel: it pays the lag as a sleep and reports
+// true, and a pending tag store lands when the sleep ends, before the next
+// step; with no lag it lands the store at once and reports false.
+func (w *WGCtx) Pause() bool {
+	if d := w.lag; d > 0 {
+		w.lag = 0
+		w.p.After(d)
+		return true
+	}
+	w.landNow()
+	return false
+}
+
+// Land is the flush a body's next step makes after a StoreTag, for a Step
+// kernel, which makes it itself before any step but a poll: Pause when a
+// tag store is pending, and nothing (false) otherwise.
+func (w *WGCtx) Land() bool { return w.tw != nil && w.Pause() }
+
+// landNow applies a pending tag store.
+func (w *WGCtx) landNow() {
+	if t := w.tw; t != nil {
+		w.tw = nil
+		t.Write(w.tag)
+	}
+}
+
+// Await is PollUntil for a Step kernel: it reports true when the
+// work-group waits, and its next step runs once the counter reaches
+// target. A pending tag store lands in the wake that pays the lag, as it
+// does in PollUntil.
+func (w *WGCtx) Await(c *sim.Counter, target int64) bool {
+	t, d := w.tw, w.lag
+	w.tw, w.lag = nil, 0
+	return c.AwaitGEAfter(w.p, d, t, w.tag, target)
+}
+
+// AwaitUntil is the deadline wait of PollUntilFor for a Step kernel, at
+// an absolute deadline: it reports true when the work-group waits, until
+// the counter reaches target or the deadline passes; then, or at once,
+// Reached tells which. The lag must be paid first (Pause).
+func (w *WGCtx) AwaitUntil(c *sim.Counter, target int64, deadline sim.Time) bool {
+	if w.lag > 0 || w.tw != nil {
+		panic("gpu: AwaitUntil with unpaid work-group lag; Pause first")
+	}
+	return c.AwaitGEUntil(w.p, target, deadline)
+}
+
+// Reached reports whether the last AwaitUntil reached its target.
+func (w *WGCtx) Reached() bool { return w.p.Reached() }
 
 // PollUntilFor is PollUntil with a deadline: it reports whether the target
 // was reached before timeout elapsed. A non-positive timeout waits forever
@@ -343,8 +411,11 @@ func (g *GPU) Launch(k *Kernel) {
 	if k.WorkGroups <= 0 {
 		panic(fmt.Sprintf("gpu: kernel %q with %d work-groups", k.Name, k.WorkGroups))
 	}
-	if k.WGTime < 0 || k.WGTime > 0 && k.Body != nil {
-		panic(fmt.Sprintf("gpu: kernel %q with WGTime %v (a bodiless kernel's non-negative duration)", k.Name, k.WGTime))
+	if k.WGTime < 0 {
+		panic(fmt.Sprintf("gpu: kernel %q with negative WGTime %v", k.Name, k.WGTime))
+	}
+	if k.Body != nil && k.Step != nil || k.WGTime > 0 && (k.Body != nil || k.Step != nil) {
+		panic(fmt.Sprintf("gpu: kernel %q has more than one of Body, Step and WGTime", k.Name))
 	}
 	if k.WGSize <= 0 {
 		k.WGSize = g.cfg.WavefrontSize
@@ -439,12 +510,12 @@ func (g *GPU) fePop() {
 func (g *GPU) feLaunch() {
 	g.kernelsLaunched++
 	k := g.cur
-	if k.Body == nil && k.WGTime == 0 {
+	if k.Body == nil && k.Step == nil && k.WGTime == 0 {
 		g.feWait(g.cfg.KernelTeardown, feDone)
 		return
 	}
 	g.wgLeft = k.WorkGroups
-	if k.Body == nil {
+	if k.WGTime > 0 {
 		if g.wgStartFn == nil {
 			g.wgStartFn, g.wgGrantFn, g.wgRunFn, g.wgEndFn = g.wgStart, g.wgGrant, g.wgRun, g.wgEnd
 		}
@@ -464,6 +535,12 @@ func (g *GPU) feLaunch() {
 		if g.eng.Trace != nil {
 			name = fmt.Sprintf("gpu.%s.wg%d", k.Name, wg)
 		}
+		if k.Step != nil {
+			ctx := &WGCtx{gpu: g, k: k, Group: wg, NumGroups: k.WorkGroups, WGSize: k.WGSize}
+			ctx.p = g.eng.GoStep(name, ctx.run)
+			g.track(ctx.p)
+			continue
+		}
 		g.track(g.eng.Go(name, func(wp *sim.Proc) {
 			g.slots.Acquire(wp, 1)
 			defer g.slots.Release(1)
@@ -473,6 +550,56 @@ func (g *GPU) feLaunch() {
 			g.wgDone(k)
 		}))
 	}
+}
+
+// wgStage is where a Step kernel's work-group process is.
+type wgStage uint8
+
+const (
+	wgStart wgStage = iota // not started
+	wgAdmit                // queued for a CU slot
+	wgRun                  // holding its slot, running the kernel's step
+	wgEnd                  // the step is done: paying the last lag
+)
+
+// run is the stackless process of a Step kernel's work-group. It does what
+// a body's work-group process does around the body, one dispatch at a
+// time: take a CU slot (or queue for one), run the step until it is done,
+// pay the lag left (Sync), count the group done and free the slot. A
+// Pause's wait ends with its pending store landing before the step goes
+// on. A Kill (Reset) after the slot was taken frees it, as the body's
+// deferred Release does; one that finds the group queued leaves the
+// request to the engine, as Acquire's own cleanup does.
+func (w *WGCtx) run(p *sim.Proc) bool {
+	g := w.gpu
+	if p.Dead() {
+		if w.stage >= wgRun {
+			g.slots.Release(1)
+		}
+		return false
+	}
+	switch w.stage {
+	case wgStart:
+		if g.slots.AwaitAcquire(p, 1) {
+			w.stage = wgAdmit
+			return true
+		}
+	case wgRun, wgEnd:
+		w.landNow()
+	}
+	if w.stage != wgEnd {
+		w.stage = wgRun
+		if w.k.Step(w) {
+			return true
+		}
+		w.stage = wgEnd
+		if w.Pause() {
+			return true
+		}
+	}
+	g.wgDone(w.k)
+	g.slots.Release(1)
+	return false
 }
 
 // wgDone counts down a finished work-group of k; the last one schedules

@@ -1,6 +1,8 @@
 package gpu
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -97,6 +99,8 @@ func TestLaunchValidation(t *testing.T) {
 		{Name: "no work-groups", WorkGroups: 0},
 		{Name: "negative WGTime", WorkGroups: 1, WGTime: -1},
 		{Name: "WGTime and a body", WorkGroups: 1, WGTime: 1, Body: func(*WGCtx) {}},
+		{Name: "WGTime and a step", WorkGroups: 1, WGTime: 1, Step: func(*WGCtx) bool { return false }},
+		{Name: "a body and a step", WorkGroups: 1, Body: func(*WGCtx) {}, Step: func(*WGCtx) bool { return false }},
 	} {
 		t.Run(k.Name, func(t *testing.T) {
 			_, g := newGPU(t)
@@ -415,13 +419,17 @@ func newGPUSlots(t testing.TB, n int) (*sim.Engine, *GPU) {
 // launch latency, running its work-groups or in teardown: it never
 // completes and never runs OnComplete. A kernel launched after the reset
 // finishes exactly when it would on a fresh GPU, with the CU pool whole.
-// That holds for a body's work-groups (processes) and for a WGTime
-// kernel's (events), and for one whose second work-group queues for the
-// only slot: a reset while it queues, or between its admission and its
-// start, returns the slot too.
+// That holds for a body's work-groups (processes), a Step kernel's
+// (stackless processes) and a WGTime kernel's (events), and for kernels
+// whose second work-group queues for the only slot: a reset while it
+// queues, or between its admission and its start, returns the slot too.
 func TestResetLosesKernelInFlight(t *testing.T) {
 	const wg = 2 * sim.Microsecond
 	body := func(wg *WGCtx) { wg.Compute(2 * sim.Microsecond) }
+	step := func(wg *WGCtx) bool {
+		wg.Compute(2 * sim.Microsecond)
+		return false
+	}
 	kernels := []struct {
 		name  string
 		slots int
@@ -430,6 +438,8 @@ func TestResetLosesKernelInFlight(t *testing.T) {
 		{"body", 192, func(name string) *Kernel { return &Kernel{Name: name, WorkGroups: 2, Body: body} }},
 		{"wgtime", 192, func(name string) *Kernel { return &Kernel{Name: name, WorkGroups: 2, WGTime: wg} }},
 		{"wgtime one slot", 1, func(name string) *Kernel { return &Kernel{Name: name, WorkGroups: 2, WGTime: wg} }},
+		{"step", 192, func(name string) *Kernel { return &Kernel{Name: name, WorkGroups: 2, Step: step} }},
+		{"step one slot", 1, func(name string) *Kernel { return &Kernel{Name: name, WorkGroups: 2, Step: step} }},
 	}
 	// On a fresh GPU a kernel pays its launch in [0, 1.5us), runs its
 	// work-groups in [1.5us, 3.5us) (the second, on one slot, in
@@ -622,6 +632,92 @@ func TestWGTimeKernelMatchesComputeBody(t *testing.T) {
 					got.dilations != want.dilations || got.wgDispatches != 0 || want.resumes-got.resumes < uint64(2*groups) {
 					t.Errorf("%d slots, %d groups, window %v: got %+v, want %+v but no work-group dispatch",
 						slots, groups, window, got, want)
+				}
+			}
+		}
+	}
+}
+
+// A Step kernel runs its work-groups as stackless processes exactly as the
+// same kernel written as a body runs them as processes: with the slots
+// contended and a fail-slow window opening mid-kernel, every work-group's
+// stores, polls (untimed and timed) and end land at the same times, the
+// engine fires the same events with the same labels, and no work-group
+// resumes a coroutine.
+func TestStepKernelMatchesBodyKernel(t *testing.T) {
+	type result struct {
+		got    []wgTimes
+		done   sim.Time
+		trace  []string
+		events uint64
+		// resumes counts every coroutine resume; only the host's two
+		// (its start and its wake at the kernel's end) are not work-groups'.
+		resumes   uint64
+		dilations int
+	}
+	run := func(seed int64, slots, groups int, window sim.Time, step bool) result {
+		r := rand.New(rand.NewSource(seed))
+		eng, g := newGPUSlots(t, slots)
+		var res result
+		eng.Trace = func(at sim.Time, label string) { res.trace = append(res.trace, at.String()+" "+label) }
+		g.SetDilation(func(now, d sim.Time) sim.Time {
+			if now >= window {
+				res.dilations++
+				return 3 * d
+			}
+			return d
+		})
+		c := sim.NewCounter(eng)
+		const nbumps = 4
+		for range nbumps {
+			eng.Schedule(g.Config().KernelLaunch+sim.Time(r.Intn(6000))*sim.Nanosecond, func() { c.Add(1) })
+		}
+		bodies := make([][]wgOp, groups)
+		for i := range bodies {
+			bodies[i] = genBody(r, nbumps)
+			for j := range bodies[i] {
+				if r.Intn(4) == 0 {
+					bodies[i][j].kind = opPollFor
+				}
+			}
+		}
+		res.got = make([]wgTimes, groups)
+		k := &Kernel{Name: "k", WorkGroups: groups, Body: func(wg *WGCtx) {
+			runBody(eng, wg, bodies[wg.Group], c, &res.got[wg.Group])
+		}}
+		if step {
+			steps := make([]stepBody, groups)
+			for i := range steps {
+				steps[i] = stepBody{eng: eng, ops: bodies[i], c: c, w: &res.got[i]}
+			}
+			k = &Kernel{Name: "k", WorkGroups: groups, Step: func(wg *WGCtx) bool { return steps[wg.Group].step(wg) }}
+		}
+		eng.Go("host", func(p *sim.Proc) {
+			g.LaunchSync(p, k)
+			res.done = p.Now()
+		})
+		eng.Run()
+		res.events, res.resumes = eng.Executed(), eng.Resumes()
+		return res
+	}
+	launch := config.Default().GPU.KernelLaunch
+	for seed := int64(1); seed <= 20; seed++ {
+		for _, slots := range []int{1, 2, 3, 64} {
+			for _, groups := range []int{1, 4, 7} {
+				for _, window := range []sim.Time{1 << 62, launch + 500*sim.Nanosecond, launch + 3*sim.Microsecond} {
+					want := run(seed, slots, groups, window, false)
+					got := run(seed, slots, groups, window, true)
+					same := got.done == want.done && got.events == want.events && got.dilations == want.dilations &&
+						slices.Equal(got.trace, want.trace)
+					for i := range got.got {
+						same = same && sameTimes(got.got[i].effects, want.got[i].effects) &&
+							sameTimes(got.got[i].polls, want.got[i].polls) && got.got[i].end == want.got[i].end
+					}
+					if !same || got.resumes != 2 {
+						t.Fatalf("seed %d, %d slots, %d groups, window %v: step form done %v, %d events, %d resumes, %d dilations, %+v; body form done %v, %d events, %d dilations, %+v",
+							seed, slots, groups, window, got.done, got.events, got.resumes, got.dilations, got.got,
+							want.done, want.events, want.dilations, want.got)
+					}
 				}
 			}
 		}

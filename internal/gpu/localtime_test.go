@@ -33,6 +33,9 @@ const (
 	opStoreTag  // StoreTag: pending until the next step
 	opPoll
 	numOps
+	// opPollFor is PollUntilFor with timeout d+1; the eager model has no
+	// deadlines, so only TestStepKernelMatchesBodyKernel draws it.
+	opPollFor = numOps
 )
 
 // genBody draws a random body of up to 24 steps whose polls target one of
@@ -131,11 +134,87 @@ func runBody(eng *sim.Engine, wg *WGCtx, ops []wgOp, c *sim.Counter, w *wgTimes)
 		case opPoll:
 			wg.PollUntil(c, op.target)
 			w.polls = append(w.polls, wg.Now())
+		case opPollFor:
+			wg.PollUntilFor(c, op.target, op.d+1)
+			w.polls = append(w.polls, wg.Now())
 		}
 	}
 	w.end = wg.Now()
 }
 
+// stepBody is runBody as a Step kernel's step function: the same calls,
+// with Land before any step but a poll, a store's effect after a Pause,
+// Await, or Pause then AwaitUntil, for the polls, and a Pause before the
+// end is read. i is the op the work-group is at and at how far into it:
+// 0 before its call, 1 once the call (and its wait) is made, 2 once a
+// timed poll's deadline wait is.
+type stepBody struct {
+	eng   *sim.Engine
+	ops   []wgOp
+	c     *sim.Counter
+	w     *wgTimes
+	i, at int
+}
+
+func (b *stepBody) step(wg *WGCtx) bool {
+	if wg.tw != nil {
+		// A store pending across a wait must have landed when it ended;
+		// an impossible effect time makes the comparison fail.
+		b.w.effects = append(b.w.effects, -1)
+	}
+	for ; b.i < len(b.ops); b.i, b.at = b.i+1, 0 {
+		op := b.ops[b.i]
+		if b.at == 0 {
+			if op.kind != opPoll && wg.Land() {
+				return true
+			}
+			b.at = 1
+			switch op.kind {
+			case opCompute:
+				wg.Compute(op.d)
+			case opBarrier:
+				wg.Barrier()
+			case opFence:
+				wg.FenceSystem()
+			case opStore, opPollFor:
+				if op.kind == opStore {
+					wg.AtomicStoreSystem(nil)
+				}
+				if wg.Pause() {
+					return true
+				}
+			case opStoreCost:
+				wg.AtomicStoreSystem(nil)
+			case opStoreTag:
+				wg.StoreTag(effectLog{b.eng, b.w}, 1)
+			case opPoll:
+				if wg.Await(b.c, op.target) {
+					return true
+				}
+			}
+		}
+		if op.kind == opPollFor && b.at == 1 {
+			b.at = 2
+			if wg.AwaitUntil(b.c, op.target, wg.Now()+op.d+1) {
+				return true
+			}
+		}
+		switch op.kind {
+		case opStore:
+			b.w.effects = append(b.w.effects, b.eng.Now())
+		case opPoll, opPollFor:
+			b.w.polls = append(b.w.polls, wg.Now())
+		}
+	}
+	if b.at == 0 {
+		b.at = 1
+		if wg.Pause() {
+			return true
+		}
+	}
+	b.w.end = wg.Now()
+	return false
+}
 func sameTimes(a, b []sim.Time) bool {
 	if len(a) != len(b) {
 		return false
@@ -151,8 +230,9 @@ func sameTimes(a, b []sim.Time) bool {
 // checkAgainstEager runs groups work-groups, each with its own body drawn
 // by gen, against a counter bumped by engine events at random times in the
 // first 4 us of the bodies and under a dilation window opening at window,
-// and compares every observable time with the eager reference.
-func checkAgainstEager(t *testing.T, seed int64, groups int, window sim.Time, gen func(*rand.Rand, int) []wgOp) bool {
+// and compares every observable time with the eager reference. step runs
+// the bodies as a Step kernel (stepBody) instead.
+func checkAgainstEager(t *testing.T, seed int64, groups int, window sim.Time, gen func(*rand.Rand, int) []wgOp, step bool) bool {
 	r := rand.New(rand.NewSource(seed))
 	eng, g := newGPU(t)
 	const factor = 3
@@ -178,14 +258,31 @@ func checkAgainstEager(t *testing.T, seed int64, groups int, window sim.Time, ge
 	got := make([]wgTimes, groups)
 	starts := make([]sim.Time, groups)
 	var done sim.Time
-	eng.Go("host", func(p *sim.Proc) {
-		g.LaunchSync(p, &Kernel{
+	k := &Kernel{
+		Name: "k", WorkGroups: groups,
+		Body: func(wg *WGCtx) {
+			starts[wg.Group] = wg.Now()
+			runBody(eng, wg, bodies[wg.Group], c, &got[wg.Group])
+		},
+	}
+	if step {
+		steps := make([]stepBody, groups)
+		for i := range steps {
+			steps[i] = stepBody{eng: eng, ops: bodies[i], c: c, w: &got[i]}
+			starts[i] = -1
+		}
+		k = &Kernel{
 			Name: "k", WorkGroups: groups,
-			Body: func(wg *WGCtx) {
-				starts[wg.Group] = wg.Now()
-				runBody(eng, wg, bodies[wg.Group], c, &got[wg.Group])
+			Step: func(wg *WGCtx) bool {
+				if starts[wg.Group] < 0 {
+					starts[wg.Group] = wg.Now()
+				}
+				return steps[wg.Group].step(wg)
 			},
-		})
+		}
+	}
+	eng.Go("host", func(p *sim.Proc) {
+		g.LaunchSync(p, k)
 		done = p.Now()
 	})
 	eng.Run()
@@ -212,26 +309,43 @@ func TestLocalTimeMatchesEagerModel(t *testing.T) {
 	tests := []struct {
 		name string
 		fn   interface{}
+	}{}
+	// Each case runs as a body and as a Step kernel, whose Await, Pause
+	// and Land must keep the body's times.
+	for _, step := range []bool{false, true} {
+		form := ""
+		if step {
+			form = " (step)"
+		}
+		tests = append(tests, []struct {
+			name string
+			fn   interface{}
+		}{
+			{
+				name: "one work-group" + form,
+				fn: func(seed int64, window uint16) bool {
+					return checkAgainstEager(t, seed, 1, launch+64*sim.Time(window), genBody, step)
+				},
+			},
+			{
+				name: "concurrent work-groups on one counter" + form,
+				fn: func(seed int64, groups uint8, window uint16) bool {
+					return checkAgainstEager(t, seed, int(groups%4)+2, launch+64*sim.Time(window), genBody, step)
+				},
+			},
+			{
+				// Each tag store lands in the wake of the poll after it.
+				name: "store then poll" + form,
+				fn: func(seed int64, groups uint8, window uint16) bool {
+					return checkAgainstEager(t, seed, int(groups%4)+1, launch+64*sim.Time(window), genRounds, step)
+				},
+			},
+		}...)
+	}
+	tests = append(tests, []struct {
+		name string
+		fn   interface{}
 	}{
-		{
-			name: "one work-group",
-			fn: func(seed int64, window uint16) bool {
-				return checkAgainstEager(t, seed, 1, launch+64*sim.Time(window), genBody)
-			},
-		},
-		{
-			name: "concurrent work-groups on one counter",
-			fn: func(seed int64, groups uint8, window uint16) bool {
-				return checkAgainstEager(t, seed, int(groups%4)+2, launch+64*sim.Time(window), genBody)
-			},
-		},
-		{
-			// Each tag store lands in the wake of the poll after it.
-			name: "store then poll",
-			fn: func(seed int64, groups uint8, window uint16) bool {
-				return checkAgainstEager(t, seed, int(groups%4)+1, launch+64*sim.Time(window), genRounds)
-			},
-		},
 		{
 			// The window opens while the Barrier is still lag (or just
 			// after it): the following Compute must be dilated exactly when
@@ -277,7 +391,7 @@ func TestLocalTimeMatchesEagerModel(t *testing.T) {
 				return end == want
 			},
 		},
-	}
+	}...)
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			if err := quick.Check(tt.fn, nil); err != nil {

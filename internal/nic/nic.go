@@ -791,10 +791,15 @@ func (n *NIC) trigStart() {
 	}
 	n.trigW, n.trigEp = w, n.inc
 	pos := len(n.entries)
-	for i, e := range n.entries {
-		if e.tag == w.Tag {
-			pos = i
-			break
+	switch n.lookup.(type) {
+	case AssociativeLookup, HashLookup:
+		// Their latency does not depend on the match position.
+	default:
+		for i, e := range n.entries {
+			if e.tag == w.Tag {
+				pos = i
+				break
+			}
 		}
 	}
 	n.eng.After(n.lookup.MatchLatency(len(n.entries), pos), n.trigDoneFn)

@@ -22,6 +22,13 @@ import (
 // the engine's process list but holds no coroutine, and the queue's next
 // Push dispatches it again from the top.
 //
+// A stackless process (GoStep) has no body and no coroutine: a step
+// function runs on the engine's goroutine at its start and at each wake,
+// and waits through the Await forms of the primitives (After,
+// Counter.AwaitGE, AwaitGEAfter, AwaitGEUntil, Resource.AwaitAcquire),
+// which schedule exactly what their parking twins schedule and return
+// instead of parking.
+//
 // Model code must not recover() the kill sentinel: Engine.Kill unwinds a
 // parked process by panicking with it, and a process that swallowed it
 // would keep running after its node crashed.
@@ -34,21 +41,31 @@ type Proc struct {
 	// drops co.
 	fn func(p *Proc)
 	co *coro
+	// step is a stackless process's step function (GoStep), dropped when
+	// the process exits; started is set at its first call.
+	step    func(p *Proc) bool
+	started bool
 	// server marks a queue server; idle is set while it has no coroutine
 	// and no dispatch pending (its queue is drained).
 	server, idle bool
-	// panicked holds a model panic recovered at the coroutine boundary,
-	// re-raised on the engine's goroutine once onExit has run.
-	panicked any
-	dead     bool
+	dead         bool
 	// killed marks a process condemned by Engine.Kill; it exits at its
 	// next resume instead of running model code.
 	killed bool
-	// wakeLabel and sleep0Label are built lazily (and only while Trace is
-	// installed) so the wake fast path never concatenates strings per
-	// event in untraced runs.
-	wakeLabel   string
-	sleep0Label string
+	// untilSet marks a deadline wait in flight (AwaitGEUntil) whose
+	// deadline event is the arena slot untilID at generation untilGen (a
+	// whole Event handle would move Proc up a size class); reached
+	// reports how the last deadline wait ended (Reached).
+	untilSet, reached bool
+	untilID           int32
+	untilGen          uint32
+	// panicked holds a model panic recovered at the coroutine boundary,
+	// re-raised on the engine's goroutine once onExit has run.
+	panicked any
+	// labels holds the wake and sleep0 labels, built lazily (and only
+	// while Trace is installed) so the wake fast path never concatenates
+	// strings per event in untraced runs.
+	labels *[2]string
 	// waiting, when non-nil, records the condition wait the process is
 	// parked on; the watchdog reads it to diagnose quiescent simulations.
 	// It always points at waitBuf, which is reused across parks so the
@@ -59,6 +76,11 @@ type Proc struct {
 	// event's dispatch applies the store and resumes the process only if
 	// the counter has reached the target (landStore).
 	pend pendingStore
+	// acq is a stackless AwaitAcquire request queued for admission on
+	// acqRes; the dispatch that resumes the process takes it off, and a
+	// Kill returns what it holds.
+	acq    *resWaiter
+	acqRes *Resource
 	// onExit callbacks run when the process terminates for any reason —
 	// normal return, panic, or a Kill (including one that lands before the
 	// body ever ran, when no coroutine exists yet). They run after the
@@ -144,6 +166,27 @@ func (e *Engine) GoLane(lane uint32, name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
+// GoStep spawns a stackless process on the engine's current lane. step
+// runs on the engine's goroutine at the process's start (the start event
+// Go schedules) and again at each dispatch after: it reports true when it
+// has begun a wait (After, or an Await form of a primitive that reported
+// true), whose end runs it again, and false when the process is done.
+// Nothing a step calls may park. A Kill runs step once more, at the
+// kill's dispatch and with Dead reporting true, if the process has
+// started, so it can release what it holds where a body's deferred
+// functions would run; its result is ignored. Dispatches resume no
+// coroutine, so Resumes does not count them.
+func (e *Engine) GoStep(name string, step func(p *Proc) bool) *Proc {
+	p := &Proc{eng: e, name: name, step: step, lane: e.curLane}
+	e.addProc(p)
+	startLabel := ""
+	if e.Trace != nil {
+		startLabel = "start:" + name
+	}
+	e.scheduleProc(e.now, startLabel, p)
+	return p
+}
+
 // newServer registers an idle queue server in spawn order. It has no
 // coroutine and schedules nothing until its queue's next Push.
 func (e *Engine) newServer(lane uint32, name string, fn func(p *Proc)) *Proc {
@@ -191,10 +234,7 @@ func (p *Proc) wakeLbl() string {
 	if p.eng.Trace == nil {
 		return ""
 	}
-	if p.wakeLabel == "" {
-		p.wakeLabel = "wake:" + p.name
-	}
-	return p.wakeLabel
+	return p.label(0, "wake:")
 }
 
 // sleep0Lbl is wakeLbl for zero-length sleeps.
@@ -202,10 +242,19 @@ func (p *Proc) sleep0Lbl() string {
 	if p.eng.Trace == nil {
 		return ""
 	}
-	if p.sleep0Label == "" {
-		p.sleep0Label = "sleep0:" + p.name
+	return p.label(1, "sleep0:")
+}
+
+// label returns labels[i], building it from prefix and the name on first
+// use.
+func (p *Proc) label(i int, prefix string) string {
+	if p.labels == nil {
+		p.labels = new([2]string)
 	}
-	return p.sleep0Label
+	if p.labels[i] == "" {
+		p.labels[i] = prefix + p.name
+	}
+	return p.labels[i]
 }
 
 // dispatch resumes p and blocks the engine until p parks or terminates.
@@ -220,6 +269,10 @@ func (e *Engine) dispatch(p *Proc) {
 	}
 	if p.pend.c != nil && !p.landStore() {
 		return // now waiting on the counter
+	}
+	if p.step != nil {
+		p.runStep()
+		return
 	}
 	if p.co == nil && !p.killed {
 		p.co = e.idleCoro()
@@ -236,6 +289,46 @@ func (e *Engine) dispatch(p *Proc) {
 			p.co, p.idle = nil, true
 			return
 		}
+	}
+	p.exit()
+}
+
+// runStep is dispatch for a stackless process: it does what a parked
+// process's wait does after its park returns (clear the watchdog
+// annotation, take a granted admission, cancel a met deadline), then runs
+// the step, and exits the process when the step is done or it was killed.
+// A model panic in the step is surfaced as a process body's is.
+func (p *Proc) runStep() {
+	p.waiting = nil
+	p.waitBuf = waitState{}
+	if w := p.acq; w != nil {
+		if !w.granted && !p.killed {
+			return // not admitted yet
+		}
+		r := p.acqRes
+		p.acq, p.acqRes = nil, nil
+		if p.killed {
+			r.abandon(w)
+		}
+	}
+	if p.untilSet && !p.killed {
+		p.endUntil()
+	}
+	p.untilSet = false
+	if p.killed && !p.started {
+		p.exit()
+		return
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			p.panicked = r
+			p.exit()
+		}
+	}()
+	killed := p.killed
+	p.started = true
+	if p.step(p) && !killed {
+		return
 	}
 	p.exit()
 }
@@ -267,7 +360,7 @@ func (e *Engine) stopIdle() {
 // goroutine, and then surfaces a model panic.
 func (p *Proc) exit() {
 	p.dead = true
-	p.fn, p.co = nil, nil
+	p.fn, p.co, p.step = nil, nil, nil
 	onExit := p.onExit
 	p.onExit = nil
 	for _, fn := range onExit {
@@ -284,6 +377,9 @@ func (p *Proc) exit() {
 // (join-counter bumps, cleanup) innermost first on the way out to the
 // coroutine boundary, where it is recovered.
 func (p *Proc) park() {
+	if p.co == nil {
+		panic(fmt.Sprintf("sim: stackless process %q cannot park", p.name))
+	}
 	p.co.yield(struct{}{})
 	if p.killed {
 		panic(procKilled{})
@@ -320,12 +416,9 @@ func (p *Proc) parkWaiting(kind string, detail func() string) {
 	p.waitBuf = waitState{}
 }
 
-// parkWaitingCounter is parkWaiting for counter waits: the annotation is
-// carried as plain fields instead of a closure, so the Portals counting-
-// event hot path (CT waits fire per message) allocates nothing.
-func (p *Proc) parkWaitingCounter(c *Counter, target int64) {
-	p.waitBuf = waitState{kind: "counter", ctr: c, target: target}
-	p.waiting = &p.waitBuf
+// parkAwait parks p on the wait an Await form just began, then clears the
+// watchdog annotation that form set.
+func (p *Proc) parkAwait() {
 	p.park()
 	p.waiting = nil
 	p.waitBuf = waitState{}
@@ -339,19 +432,38 @@ func (p *Proc) wake(label string) {
 
 // Sleep suspends the process for duration d of simulated time.
 func (p *Proc) Sleep(d Time) {
+	p.After(d)
+	p.park()
+}
+
+// After is Sleep for a stackless process: it schedules the wake Sleep
+// schedules and returns; the process's next step runs at it.
+func (p *Proc) After(d Time) {
 	if d < 0 {
 		panic("sim: negative sleep")
 	}
 	if d == 0 {
-		// Still yield, so that a zero-length sleep is a scheduling point.
+		// Still a wake, so that a zero-length sleep is a scheduling point.
 		p.wake(p.sleep0Lbl())
-		p.park()
 		return
 	}
 	e := p.eng
 	e.scheduleProc(e.now+d, p.wakeLbl(), p)
-	p.park()
 }
+
+// endUntil ends a deadline wait at the process's wake: the deadline event
+// of a wait that was met is cancelled, as it never fires.
+func (p *Proc) endUntil() {
+	if p.reached {
+		Event{eng: p.eng, id: p.untilID, gen: p.untilGen}.Cancel()
+	}
+	p.untilSet = false
+}
+
+// Reached reports how the process's last deadline wait (AwaitGEUntil, or
+// WaitGEUntil) ended: true when the counter reached its target, false
+// when the deadline passed first.
+func (p *Proc) Reached() bool { return p.reached }
 
 // SleepUntil suspends the process until absolute time t. If t is in the
 // past it panics.

@@ -88,11 +88,22 @@ func (c *Counter) Add(n int64) {
 // WaitGE parks p until the counter value is ≥ target. Returns immediately
 // if already satisfied.
 func (c *Counter) WaitGE(p *Proc, target int64) {
+	if c.AwaitGE(p, target) {
+		p.parkAwait()
+	}
+}
+
+// AwaitGE is WaitGE for a stackless process: it reports false when the
+// counter is already ≥ target, and otherwise makes p a waiter and reports
+// true; p's next step runs once the target is reached.
+func (c *Counter) AwaitGE(p *Proc, target int64) bool {
 	if c.value >= target {
-		return
+		return false
 	}
 	c.waiters = append(c.waiters, ctWaiter{p: p, target: target})
-	p.parkWaitingCounter(c, target)
+	p.waitBuf = waitState{kind: "counter", ctr: c, target: target}
+	p.waiting = &p.waitBuf
+	return true
 }
 
 // A TagWriter takes a tagged store, such as a GPU work-group's write of a
@@ -113,19 +124,29 @@ type pendingStore struct {
 // label and birth key; its dispatch applies the store on the engine and
 // resumes p only if the counter has already reached target, and otherwise
 // makes p a waiter exactly as WaitGE would. A Kill that lands before the
-// wake drops the store, as it would have dropped the code after Sleep.
+// wake drops the store, as it would have dropped the code after Sleep. A
+// nil w stores nothing: the wait is then Sleep(d) and WaitGE.
 func (c *Counter) WaitGEAfter(p *Proc, d Time, w TagWriter, tag uint64, target int64) {
+	if c.AwaitGEAfter(p, d, w, tag, target) {
+		p.parkAwait()
+	}
+}
+
+// AwaitGEAfter is WaitGEAfter for a stackless process: it reports whether
+// p waits (its next step then runs once the store has landed and the
+// counter reached target), or whether, with no delay, the store landed
+// and the counter was already at target (false).
+func (c *Counter) AwaitGEAfter(p *Proc, d Time, w TagWriter, tag uint64, target int64) bool {
 	if d <= 0 {
-		w.Write(tag)
-		c.WaitGE(p, target)
-		return
+		if w != nil {
+			w.Write(tag)
+		}
+		return c.AwaitGE(p, target)
 	}
 	e := c.eng
 	p.pend = pendingStore{w: w, tag: tag, c: c, target: target}
 	e.scheduleProc(e.now+d, p.wakeLbl(), p)
-	p.park()
-	p.waiting = nil
-	p.waitBuf = waitState{}
+	return true
 }
 
 // landStore runs p's pending WaitGEAfter step in its wake event and
@@ -137,15 +158,10 @@ func (p *Proc) landStore() bool {
 	if p.killed {
 		return true
 	}
-	s.w.Write(s.tag)
-	c := s.c
-	if c.value >= s.target {
-		return true
+	if s.w != nil {
+		s.w.Write(s.tag)
 	}
-	c.waiters = append(c.waiters, ctWaiter{p: p, target: s.target})
-	p.waitBuf = waitState{kind: "counter", ctr: c, target: s.target}
-	p.waiting = &p.waitBuf
-	return false
+	return !s.c.AwaitGE(p, s.target)
 }
 
 // WaitGEUntil parks p until the counter value is ≥ target or the absolute
@@ -153,33 +169,43 @@ func (p *Proc) landStore() bool {
 // was reached (false = timed out). A deadline at or before now fails
 // immediately unless the target is already satisfied.
 func (c *Counter) WaitGEUntil(p *Proc, target int64, deadline Time) bool {
-	if c.value >= target {
-		return true
+	if c.AwaitGEUntil(p, target, deadline) {
+		p.parkAwait()
+		p.endUntil()
 	}
-	if deadline <= c.eng.Now() {
+	return p.reached
+}
+
+// AwaitGEUntil is WaitGEUntil for a stackless process. It reports false
+// when the wait ends at once, and otherwise makes p a waiter, schedules
+// the deadline event and reports true; p's next step runs when the target
+// is reached or the deadline passes (the dispatch cancels the deadline
+// event of a wait that was met). Either way Reached then tells which.
+func (c *Counter) AwaitGEUntil(p *Proc, target int64, deadline Time) bool {
+	p.reached = c.value >= target
+	if p.reached || deadline <= c.eng.Now() {
 		return false
 	}
-	done := false
-	c.waiters = append(c.waiters, ctWaiter{p: p, target: target, done: &done})
+	done := &p.reached
+	c.waiters = append(c.waiters, ctWaiter{p: p, target: target, done: done})
 	ev := c.eng.ScheduleNamed(deadline, "ctwait.deadline", func() {
-		if done {
+		if *done {
 			return
 		}
 		for i := range c.waiters {
-			if c.waiters[i].done == &done {
+			if c.waiters[i].done == done {
 				c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
 				break
 			}
 		}
 		p.wake("ctwait.timeout")
 	})
-	p.parkWaiting("counter", func() string {
+	p.untilSet, p.untilID, p.untilGen = true, ev.id, ev.gen
+	p.waitBuf = waitState{kind: "counter", detail: func() string {
 		return fmt.Sprintf("value=%d target=%d deadline=%v", c.value, target, deadline)
-	})
-	if done {
-		ev.Cancel()
-	}
-	return done
+	}}
+	p.waiting = &p.waitBuf
+	return true
 }
 
 // Queue is an unbounded FIFO connecting producers and consumers.
@@ -357,19 +383,8 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 	// Without this, a crashed node's work-groups would pin semaphore
 	// capacity forever.
 	defer func() {
-		if !p.killed {
-			return
-		}
-		if w.granted {
-			r.inUse -= w.n
-			r.admit()
-			return
-		}
-		for i, x := range r.waiters {
-			if x == w {
-				r.waiters = append(r.waiters[:i], r.waiters[i+1:]...)
-				break
-			}
+		if p.killed {
+			r.abandon(w)
 		}
 	}()
 	for !w.granted {
@@ -378,6 +393,52 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 			return fmt.Sprintf("need=%d available=%d", n, r.capacity-r.inUse)
 		})
 		w.parked = false
+	}
+}
+
+// AwaitAcquire is Acquire for a stackless process: it takes the n units
+// and reports false when they are free and nothing is queued, and
+// otherwise queues p in the same FIFO and reports true; p's next step runs
+// once the units are its. A Kill before then withdraws the request, or
+// returns the units if they were granted in the meantime, as Acquire's
+// deferred cleanup does.
+func (r *Resource) AwaitAcquire(p *Proc, n int64) bool {
+	if n <= 0 || n > r.capacity {
+		panic("sim: Resource.AwaitAcquire with invalid amount")
+	}
+	if len(r.waiters) == 0 && r.capacity-r.inUse >= n {
+		r.inUse += n
+		return false
+	}
+	w := &resWaiter{p: p, n: n}
+	r.waiters = append(r.waiters, w)
+	r.admit()
+	if w.granted {
+		return false
+	}
+	w.parked = true
+	p.acq, p.acqRes = w, r
+	p.waitBuf = waitState{kind: "resource", detail: func() string {
+		return fmt.Sprintf("need=%d available=%d", n, r.capacity-r.inUse)
+	}}
+	p.waiting = &p.waitBuf
+	return true
+}
+
+// abandon cleans up after a process killed while waiting for admission:
+// units granted meanwhile are returned, an ungranted request is
+// withdrawn.
+func (r *Resource) abandon(w *resWaiter) {
+	if w.granted {
+		r.inUse -= w.n
+		r.admit()
+		return
+	}
+	for i, x := range r.waiters {
+		if x == w {
+			r.waiters = append(r.waiters[:i], r.waiters[i+1:]...)
+			break
+		}
 	}
 }
 

@@ -201,7 +201,7 @@ type waitState struct {
 	kind   string
 	detail func() string
 	// ctr/target annotate counter waits without a per-wait closure
-	// (see parkWaitingCounter); detail takes precedence when set.
+	// (see Counter.AwaitGE); detail takes precedence when set.
 	ctr    *Counter
 	target int64
 }
