@@ -36,9 +36,11 @@ check:
 ## exact sums over the post-quarantine membership — and the straggler
 ## matrix: fail-slow GPU/cmd/DMA classes under hedged collectives, with
 ## progress-based Slow verdicts, ring bypass of confirmed stragglers,
-## recovery/rejoin, and exact sums over the responsive membership.
+## recovery/rejoin, and exact sums over the responsive membership — and
+## the trigger-path oracle: counted trigger writes and gang wakes agree
+## with the per-write reference on every fire, NIC counter and result.
 chaos:
-	$(GO) test -race -v -run 'TestChaos|TestReliable|TestAllreduceTimeout|TestAllreduceRingHeal|TestRelaxedSyncRace|TestTriggerWriteLoss|TestCrash|TestRecoverable|TestRestartEpoch|TestStaleSrc|TestCancelTriggered|TestMarkPeerCrashed|TestSuite|TestPeerDead|TestPartition|TestDoubleCrash|TestAdaptiveRTO|TestLinkHealth|TestMatrixClassifies|TestSymmetricCut|TestHealReturns|TestSDC|TestQuarantineIsPermanent|TestSlow|TestStraggler|TestHedged|TestZeroConfigIsBitForBit' ./internal/collective/ ./internal/nic/ ./internal/health/ ./internal/workloads/jacobi/
+	$(GO) test -race -v -run 'TestChaos|TestReliable|TestAllreduceTimeout|TestAllreduceRingHeal|TestRelaxedSyncRace|TestTriggerWriteLoss|TestCrash|TestRecoverable|TestRestartEpoch|TestStaleSrc|TestCancelTriggered|TestMarkPeerCrashed|TestSuite|TestPeerDead|TestPartition|TestDoubleCrash|TestAdaptiveRTO|TestLinkHealth|TestMatrixClassifies|TestSymmetricCut|TestHealReturns|TestSDC|TestQuarantineIsPermanent|TestSlow|TestStraggler|TestHedged|TestZeroConfigIsBitForBit|TestTriggerPathsAgree' ./internal/collective/ ./internal/nic/ ./internal/health/ ./internal/workloads/jacobi/ ./internal/sim/
 
 ## chaos-scenarios: the composed correlated-failure matrix under the race
 ## detector — every backend x chaos seeds 1-5 x {rack-crash+cut,

@@ -17,6 +17,13 @@
 //   - no-stale-delivery: no frame is dispatched to protocol handlers from
 //     a dead incarnation or addressed to a previous life of the receiver.
 //     Predicate at dispatch: SrcEpoch >= view(src) && DstEpoch == inc.
+//   - resend-intact: a reliable frame's retransmission carries the bytes
+//     of its first transmission: the send buffer must not change (be
+//     reused) while the frame is unacknowledged. Predicate at each
+//     retransmission with end-to-end checksums armed: the body's CRC is
+//     the one computed at DMA time. Breaches are recorded; passes are not
+//     counted, so the checks total of a run is the same with or without
+//     retransmissions.
 //   - conservation: per (src, dst) peer pair, messages sent equals
 //     messages delivered plus counted losses, once the run has drained.
 //     Predicate at Finish: sent(s,d) == delivered(s,d) + lost(s,d).
@@ -60,6 +67,7 @@ const (
 	CheckTriggerOnce     = "trigger-once"
 	CheckEpochMonotone   = "epoch-monotone"
 	CheckStaleDelivery   = "stale-delivery"
+	CheckResendIntact    = "resend-intact"
 	CheckConservation    = "conservation"
 	CheckHopConservation = "hop-conservation"
 	CheckMajority        = "single-majority"
@@ -118,6 +126,9 @@ type Auditor struct {
 	globalDropped    int
 
 	finished bool
+
+	// onFire, when set, observes every trigger fire (OnFire).
+	onFire func(now sim.Time, node int, tag int64)
 }
 
 // New creates an auditor for an n-node cluster.
@@ -168,6 +179,9 @@ func (a *Auditor) TriggerFired(now sim.Time, node int, regSeq uint64, tag int64)
 	if a == nil {
 		return
 	}
+	if a.onFire != nil {
+		a.onFire(now, node, tag)
+	}
 	st := &a.nodes[node]
 	st.checks++
 	if st.fired[regSeq] {
@@ -178,6 +192,10 @@ func (a *Auditor) TriggerFired(now sim.Time, node int, regSeq uint64, tag int64)
 	st.fired[regSeq] = true
 }
 
+// OnFire installs fn as an observer of every trigger fire: its time, node
+// and tag, in fire order. Nil removes it.
+func (a *Auditor) OnFire(fn func(now sim.Time, node int, tag int64)) { a.onFire = fn }
+
 // TriggerRetired forgets a registration instance: the entry was canceled,
 // re-registered (a new instance takes its slot), or wiped by a crash. The
 // live-fired set stays bounded by the trigger-list capacity.
@@ -186,6 +204,17 @@ func (a *Auditor) TriggerRetired(node int, regSeq uint64) {
 		return
 	}
 	delete(a.nodes[node].fired, regSeq)
+}
+
+// ResendChanged records a retransmission of the reliable frame seq toward
+// dst whose body no longer matches its first transmission: its send
+// buffer was reused while the frame was still unacknowledged.
+func (a *Auditor) ResendChanged(now sim.Time, node, dst int, seq uint64) {
+	if a == nil {
+		return
+	}
+	a.nodeViolation(now, node, CheckResendIntact,
+		"frame %d to node %d resent with a changed body (send buffer reused before acknowledgement)", seq, dst)
 }
 
 // --- Incarnation-epoch hooks ----------------------------------------------

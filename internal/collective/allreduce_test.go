@@ -300,3 +300,47 @@ func TestAllreducePerRankTimesPopulated(t *testing.T) {
 		}
 	}
 }
+
+// TestReliableRunsKeepChunkSnapshots pins the rule that ring chunk
+// snapshots are recycled only with NIC reliability off. A reliable put
+// stays queued for retransmission until it is acknowledged, so when an
+// acknowledgement is lost the sender resends a put its receiver already
+// applied; a snapshot recycled at that apply would by then hold the
+// receiver's next chunk. Lossy runs with end-to-end checksums armed must
+// resend applied puts (duplicates dropped at the receiver) and stay
+// audit-clean, which includes the resend-intact check, with exact sums.
+func TestReliableRunsKeepChunkSnapshots(t *testing.T) {
+	const n, nelems = 4, 4096
+	var dupes int64
+	for _, kind := range []backends.Kind{backends.GPUTN, backends.CPU} {
+		for _, seed := range chaosSeeds {
+			cfg := config.Default()
+			cfg.Faults = config.FaultConfig{Seed: seed, DropProb: 0.1}
+			cfg.NIC.Reliability = config.DefaultReliability()
+			cfg.NIC.E2EChecksum = true
+			data, want := makeInputs(n, nelems, seed)
+			c := node.NewCluster(cfg, n)
+			res, err := Run(c, Config{Kind: kind, TotalBytes: nelems * elemBytes, Data: data})
+			if err != nil {
+				t.Fatalf("%v seed %d: %v", kind, seed, err)
+			}
+			for r := range res.Output {
+				for i := range want {
+					if res.Output[r][i] != want[i] {
+						t.Fatalf("%v seed %d: rank %d elem %d = %v, want %v", kind, seed, r, i, res.Output[r][i], want[i])
+					}
+				}
+			}
+			c.Audit.Finish(c.Eng.Now(), true)
+			if !c.Audit.Clean() {
+				t.Fatalf("%v seed %d: %s", kind, seed, c.Audit.Report())
+			}
+			for _, nd := range c.Nodes {
+				dupes += nd.NIC.Stats().DupesDropped
+			}
+		}
+	}
+	if dupes == 0 {
+		t.Fatal("no applied put was resent: the runs do not exercise the rule")
+	}
+}

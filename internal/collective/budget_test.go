@@ -13,18 +13,22 @@ import (
 
 // TestGPUTNRingEventBudget pins the engine cost of the repository's ring
 // benchmark shape: a 16-node, 128 KB GPU-TN ring Allreduce on the serial
-// engine. The simulated duration and the event count must not move (work-
-// group local time took it from 208,336 events, when every kernel-side
-// cost was its own sleep), and the coroutine resumes must stay within the
-// budget that running the ring kernel's work-groups as stackless processes
-// bought (from 32,544, when each work-group was a coroutine resumed at its
-// start and each poll, and 63,264 before that, when a round's trigger
-// store and its poll each resumed it): only the rank processes resume, so
-// neither per-step sleeps nor a work-group coroutine quietly come back.
+// engine. The simulated duration and the event count must not move.
+// Counted trigger writes, stores issued ahead and gang wakes took the
+// count from 131,488 (each work-group's store cost its wake, an MMIO
+// landing, a match and a counter wake) to about two events per rank and
+// round; work-group local time had taken it from 208,336, when every
+// kernel-side cost was its own sleep. The coroutine resumes must stay
+// within the budget that running the ring kernel's work-groups as
+// stackless processes bought (from 32,544, when each work-group was a
+// coroutine resumed at its start and each poll, and 63,264 before that,
+// when a round's trigger store and its poll each resumed it): only the
+// rank processes resume, so neither per-step sleeps nor a work-group
+// coroutine quietly come back.
 func TestGPUTNRingEventBudget(t *testing.T) {
 	const (
 		wantDuration = 67757790 * sim.Picosecond
-		wantEvents   = 131488
+		wantEvents   = 9104
 		maxResumes   = 800
 	)
 	c := node.NewCluster(config.Default(), 16)
@@ -85,7 +89,9 @@ func TestHDNAllreduceBudget(t *testing.T) {
 
 // TestGPUTNJacobiFatTreeBudget pins the engine cost of the halo benchmark's
 // shape at a quarter of its size: a 16x16 GPU-TN Jacobi on the fat-tree.
-// The simulated duration and the event count must not move, and the
+// The simulated duration and the event count must not move (38,144 before
+// trigger writes were counted rather than landed and matched one by one),
+// and the
 // coroutine resumes must stay within the budget that running the NIC
 // command executor and the GPU front-end on plain events bought (from
 // 12,160 when both were queue servers). Neither server may come back: no
@@ -93,7 +99,7 @@ func TestHDNAllreduceBudget(t *testing.T) {
 func TestGPUTNJacobiFatTreeBudget(t *testing.T) {
 	const (
 		wantDuration = 7107280 * sim.Picosecond
-		wantEvents   = 38144
+		wantEvents   = 34304
 		maxResumes   = 5376
 	)
 	cfg := config.Default()
@@ -136,12 +142,15 @@ func TestGPUTNJacobiFatTreeBudget(t *testing.T) {
 // only the host side's: rank and attempt drivers, and the heartbeat
 // tickers of the hedged run. A gputn.allreduce work-group that is a
 // coroutine again resumes at least at its start, 64 per kernel, and breaks
-// the budget (the body form made 78,624 and 5,877).
+// the budget (the body form made 78,624 and 5,877). Counted trigger
+// writes took the event counts from 146,848 and 14,884: a timed poll's
+// store lands at the wake that pays its lag, so it costs no landing or
+// match event.
 func TestGPUTNAbortableRingBudget(t *testing.T) {
 	t.Run("timeout", func(t *testing.T) {
 		const (
 			wantDuration = 67757790 * sim.Picosecond
-			wantEvents   = 146848
+			wantEvents   = 55648
 			maxResumes   = 800
 		)
 		c := node.NewCluster(config.Default(), 16)
@@ -163,7 +172,7 @@ func TestGPUTNAbortableRingBudget(t *testing.T) {
 		const (
 			wantDuration = 246767528 * sim.Picosecond
 			wantAttempts = 2
-			wantEvents   = 14884
+			wantEvents   = 10293
 			maxResumes   = 1461
 		)
 		res, cl, _ := runHedgedStraggler(t, backends.GPUTN, slowTestSchedule("gpu", 10, 3))
@@ -177,4 +186,30 @@ func TestGPUTNAbortableRingBudget(t *testing.T) {
 			t.Errorf("Resumes = %d, budget %d", got, maxResumes)
 		}
 	})
+}
+
+// TestGPUTNRingAtScaleBudget pins the cost of one 64-node, 8 MB GPU-TN
+// ring Allreduce, Figure 10's payload, where the trigger traffic grows as
+// the square of the node count: each of the 64 work-groups of every rank
+// stores the round's tag in each of the 126 rounds. The simulated duration
+// must not move, and the events stay within the budget that counted
+// trigger writes and gang wakes bought (3,164,800 when every store was
+// landed, matched and woken on its own); what is left is mostly per-frame
+// fabric traffic.
+func TestGPUTNRingAtScaleBudget(t *testing.T) {
+	const (
+		wantDuration = 2196828840 * sim.Picosecond
+		maxEvents    = 1150000
+	)
+	c := node.NewCluster(config.Default(), 64)
+	res, err := Run(c, Config{Kind: backends.GPUTN, TotalBytes: 8 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Duration != wantDuration {
+		t.Errorf("Duration = %d ps, want %d ps", int64(res.Duration), int64(wantDuration))
+	}
+	if got := c.Eng.Executed(); got > maxEvents {
+		t.Errorf("Executed = %d events, budget %d", got, maxEvents)
+	}
 }

@@ -218,7 +218,9 @@ func (w *WGCtx) landNow() {
 // Await is PollUntil for a Step kernel: it reports true when the
 // work-group waits, and its next step runs once the counter reaches
 // target. A pending tag store lands in the wake that pays the lag, as it
-// does in PollUntil.
+// does in PollUntil; a writer that takes stores ahead (the NIC's trigger
+// address, sim.AheadWriter) books it at issue time instead, and the wait
+// then wakes the work-group no earlier than the store's time.
 func (w *WGCtx) Await(c *sim.Counter, target int64) bool {
 	t, d := w.tw, w.lag
 	w.tw, w.lag = nil, 0

@@ -134,6 +134,8 @@ func (n *NIC) Crash() {
 	if n.down {
 		return
 	}
+	n.catchUp()
+	n.crashRuns()
 	n.down = true
 	n.downAt = n.eng.Now()
 	n.stats.Crashes++
@@ -161,6 +163,7 @@ func (n *NIC) Crash() {
 		// die with the incarnation.
 		n.rel = newReliability(n, n.cfg.Reliability)
 	}
+	n.markArm()
 }
 
 // Restart brings a crashed NIC back cold under a new incarnation epoch and

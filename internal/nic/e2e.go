@@ -66,7 +66,7 @@ func (n *NIC) e2ePrepare(meta *wireMeta, data any) (any, bool) {
 		return data, false
 	}
 	if body, ok := data.(ChecksumBody); ok {
-		meta.e2eSum, meta.e2eHas = CRC32C(body.ChecksumBytes()), true
+		meta.e2eSum, meta.e2eHas, meta.e2eBody = CRC32C(body.ChecksumBytes()), true, true
 		return data, true
 	}
 	return data, false

@@ -159,14 +159,14 @@ func (l LinkedListLookup) Name() string { return "linked-list" }
 type DynamicWrite struct {
 	Tag uint64
 
-	HasTarget bool
+	// An override is present only with its Has flag set; the flags come
+	// last so the struct packs without padding (the NIC keeps writes by
+	// value).
 	Target    network.NodeID
+	Size      int64
+	MatchBits uint64
 
-	HasSize bool
-	Size    int64
-
-	HasMatchBits bool
-	MatchBits    uint64
+	HasTarget, HasSize, HasMatchBits bool
 }
 
 // Fields reports how many override fields are present (the GPU-side
@@ -215,6 +215,9 @@ type wireMeta struct {
 	// from checksum-less sources pass vacuously)
 	e2eSum uint32
 	e2eHas bool
+	// e2eBody is set when e2eSum is the NIC's own CRC of the body as
+	// framed, so a retransmission can check the body is unchanged.
+	e2eBody bool
 }
 
 // Stats aggregates NIC observability counters.
@@ -342,9 +345,22 @@ type NIC struct {
 	trigDoneFn  func()
 	// trigFree recycles the in-flight records of MMIO trigger writes.
 	trigFree []*trigFlight
-	entries  []*triggerEntry
-	regions  []*Region
-	lookup   LookupModel
+	// The counted pipeline (counted.go): runs holds the writes not yet
+	// matched and pipeFree the end of the last match; armEv is the armed
+	// event (zero when none), born at armBorn, and armDirty marks a rearm
+	// queued for the end of the executing event. rearmFn and armFireFn
+	// are rearm and armFire, bound once. trigFaults is set when the
+	// injector drops or delays trigger writes.
+	runs                 []trigRun
+	pipeFree             sim.Time
+	armEv                sim.Event
+	armBorn              sim.Time
+	rearmFn              func()
+	armFireFn            func()
+	armDirty, trigFaults bool
+	entries              []*triggerEntry
+	regions              []*Region
+	lookup               LookupModel
 
 	// Bounded command queue support (Resources.CmdQueueDepth > 0):
 	// cmdPending holds deferred commands from non-blocking sources,
@@ -414,6 +430,7 @@ func New(eng *sim.Engine, cfg config.NICConfig, id network.NodeID, fabric *netwo
 	fabric.Bind(id, n.deliver)
 	n.lane = eng.Lane()
 	n.cmdStepFn, n.trigStartFn, n.trigDoneFn = n.cmdStep, n.trigStart, n.trigDone
+	n.rearmFn, n.armFireFn = n.rearm, n.armFire
 	return n
 }
 
@@ -514,6 +531,7 @@ func (n *NIC) SetInjector(in *fault.Injector) {
 	cfg := in.Config()
 	n.dbgDoubleFire = cfg.DebugDoubleFire
 	n.dbgStaleDeliver = cfg.DebugStaleDeliver
+	n.trigFaults = in != nil && (cfg.TrigDropProb > 0 || cfg.TrigDelayJitter > 0)
 }
 
 // SetAuditor installs the invariant auditor. Nil (the default) keeps every
@@ -601,7 +619,8 @@ func (n *NIC) RingDoorbell(c *Command) {
 // TriggerWrite is the GPU's memory-mapped store of a tag to the trigger
 // address (§3.1 step 3). The caller (a GPU work-item model) pays its own
 // store cost; the write lands in the NIC's trigger FIFO after the MMIO
-// flight time.
+// flight time. Unless a write's fate needs the per-write pipeline, it is
+// counted (counted.go) rather than scheduled.
 func (n *NIC) TriggerWrite(tag uint64) {
 	n.TriggerWriteDynamic(DynamicWrite{Tag: tag})
 }
@@ -610,6 +629,10 @@ func (n *NIC) TriggerWrite(tag uint64) {
 // additionally carries GPU-computed override fields that the NIC applies
 // to the staged operation when the entry fires.
 func (n *NIC) TriggerWriteDynamic(w DynamicWrite) {
+	if n.counted() {
+		n.bookWrite(w, n.eng.Now())
+		return
+	}
 	n.stats.TriggerWrites++
 	lat := n.cfg.DoorbellLatency + n.ioBusLatency
 	if n.inj != nil {
@@ -693,6 +716,8 @@ func (n *NIC) RegisterTriggered(p *sim.Proc, tag uint64, threshold int64, op *Co
 	}
 	// Host-side registration cost: a command write to the NIC.
 	p.Sleep(n.cfg.DoorbellLatency + n.cfg.CommandLatency)
+	n.catchUp()
+	defer n.markArm()
 
 	if e := n.findEntry(tag); e != nil {
 		if e.hasOp && !e.fired {
@@ -723,7 +748,10 @@ func (n *NIC) RegisterTriggered(p *sim.Proc, tag uint64, threshold int64, op *Co
 }
 
 // TriggerListLen reports the number of allocated trigger entries.
-func (n *NIC) TriggerListLen() int { return len(n.entries) }
+func (n *NIC) TriggerListLen() int {
+	n.catchUp()
+	return len(n.entries)
+}
 
 // CancelTriggered removes every trigger-list entry whose tag lies in
 // [lo, hi): staged operations that have not fired, relaxed-sync
@@ -735,6 +763,8 @@ func (n *NIC) TriggerListLen() int { return len(n.entries) }
 // entries that were still pending (had not fired).
 func (n *NIC) CancelTriggered(p *sim.Proc, lo, hi uint64) int {
 	p.Sleep(n.cfg.DoorbellLatency + n.cfg.CommandLatency)
+	n.catchUp()
+	defer n.markArm()
 	kept := n.entries[:0]
 	canceled := 0
 	for _, e := range n.entries {
@@ -827,22 +857,9 @@ func (n *NIC) matchTrigger(w DynamicWrite, ep int64) {
 	}
 	e := n.findEntry(w.Tag)
 	if e == nil {
-		// Relaxed synchronization: allocate a placeholder (§3.2),
-		// subject to the shared list capacity and, when configured,
-		// the dedicated placeholder budget.
-		if n.activeEntries() >= n.capTriggers() {
+		if !n.newPlaceholder(w) {
 			n.stats.DroppedTriggers++
-			return
 		}
-		if pc := n.capPlaceholders(); pc > 0 && n.activePlaceholders() >= pc {
-			n.stats.DroppedTriggers++
-			return
-		}
-		e = &triggerEntry{tag: w.Tag, counter: 1, regSeq: n.nextRegSeq()}
-		n.entries = append(n.entries, e)
-		n.stats.PlaceholdersMade++
-		n.noteTriggerWater()
-		e.mergeOverrides(w)
 		return
 	}
 	e.counter++
@@ -850,6 +867,25 @@ func (n *NIC) matchTrigger(w DynamicWrite, ep int64) {
 	if e.hasOp && !e.fired && e.counter >= e.threshold {
 		n.fire(e)
 	}
+}
+
+// newPlaceholder allocates the relaxed-sync placeholder (§3.2) for a write
+// whose tag has no entry, counting the write, and reports false when the
+// shared list capacity or, when configured, the dedicated placeholder
+// budget leaves no room.
+func (n *NIC) newPlaceholder(w DynamicWrite) bool {
+	if n.activeEntries() >= n.capTriggers() {
+		return false
+	}
+	if pc := n.capPlaceholders(); pc > 0 && n.activePlaceholders() >= pc {
+		return false
+	}
+	e := &triggerEntry{tag: w.Tag, counter: 1, regSeq: n.nextRegSeq()}
+	n.entries = append(n.entries, e)
+	n.stats.PlaceholdersMade++
+	n.noteTriggerWater()
+	e.mergeOverrides(w)
+	return true
 }
 
 // mergeOverrides folds a dynamic write's fields into the entry
@@ -1050,7 +1086,7 @@ func (n *NIC) putSend(meta *wireMeta) {
 	// internally inconsistent and the destination's e2e verify catches it.
 	if sdc := n.inj.SDC(); sdc != nil {
 		if cp, ok := meta.data.(Corruptible); ok && sdc.BufferCorrupt(n.eng.Now(), int(n.id)) {
-			meta.data = cp.CorruptCopy()
+			meta.data, meta.e2eBody = cp.CorruptCopy(), false
 		}
 	}
 	n.send(&network.Message{

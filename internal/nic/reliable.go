@@ -280,8 +280,14 @@ func (r *reliability) transmit(ch *relChan, e *relEntry) {
 		// pointer of earlier transmissions is shared with the wire). A
 		// frame NACKed for silent wire corruption goes out clean; one
 		// whose source buffer corrupted goes out self-consistent — which
-		// is exactly what verified collectives exist to catch.
-		e.meta = e2eRefresh(e.meta)
+		// is exactly what verified collectives exist to catch. A body the
+		// NIC checksummed itself must not have changed since: its buffer
+		// belongs to the frame until the frame is acknowledged.
+		fresh := e2eRefresh(e.meta)
+		if e.meta.e2eBody && fresh.e2eSum != e.meta.e2eSum {
+			r.n.au.ResendChanged(r.n.eng.Now(), int(r.n.id), int(ch.dst), e.seq)
+		}
+		e.meta = fresh
 	}
 	r.n.emit(&network.Message{
 		Src:     r.n.id,

@@ -116,6 +116,7 @@ func (n *NIC) admitPending() {
 // with a registered op report their threshold; relaxed-sync placeholders
 // the host never backed report Registered=false.
 func (n *NIC) StarvedTriggers() []sim.StarvedTrigger {
+	n.catchUp()
 	var out []sim.StarvedTrigger
 	for _, e := range n.entries {
 		if e.fired {

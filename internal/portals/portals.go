@@ -86,6 +86,17 @@ type TriggerAddr struct {
 // Write stores a tag to the trigger address.
 func (t TriggerAddr) Write(tag uint64) { t.n.TriggerWrite(tag) }
 
+// WriteAhead books the store Write(tag) would make at time at, so the NIC
+// counts it without a wake of the storing work-group (sim.AheadWriter).
+func (t TriggerAddr) WriteAhead(tag uint64, at sim.Time) bool {
+	return t.n.TriggerWriteAhead(nic.DynamicWrite{Tag: tag}, at)
+}
+
+// Withdraw takes back a store booked by WriteAhead that was never made.
+func (t TriggerAddr) Withdraw(tag uint64, at sim.Time) {
+	t.n.WithdrawTriggerWrite(nic.DynamicWrite{Tag: tag}, at)
+}
+
 // WriteDynamic stores a tag plus GPU-computed override fields (§3.4).
 // The caller models the extra store costs (one per present field).
 func (t TriggerAddr) WriteDynamic(w nic.DynamicWrite) { t.n.TriggerWriteDynamic(w) }

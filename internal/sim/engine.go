@@ -195,11 +195,31 @@ type Engine struct {
 	// next spawn (see coro).
 	idle    []*coro
 	stopped bool
+	// gangs pools the records of Counter.Add's gang wakes.
+	gangs []*gang
+
+	// born is the birth time of the executing event (the simulated time
+	// it was scheduled at), or the clock between runs. inStep is set while
+	// an event's callback runs, and atEnd holds the AtEnd callbacks it
+	// registered.
+	born   Time
+	inStep bool
+	atEnd  []func()
 
 	// Trace, when non-nil, receives a line per executed labeled event. Used
 	// by determinism tests.
 	Trace func(t Time, label string)
 }
+
+// reference forces the per-event reference forms of the closed forms the
+// engine and the models take: one wake event per satisfied counter waiter
+// instead of a gang, no store issued ahead of its time, and the NIC's
+// per-write trigger pipeline. Only tests set it (export_test.go), to run a
+// model both ways and compare every result.
+var reference bool
+
+// Reference reports whether the per-event reference forms are forced.
+func Reference() bool { return reference }
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
@@ -212,6 +232,40 @@ func (e *Engine) Now() Time { return e.now }
 // Pending reports the number of live (non-cancelled) events in the queue.
 func (e *Engine) Pending() int {
 	return e.nfuture + (len(e.nowq) - e.nowqHead) - e.ncancelled
+}
+
+// Born reports the birth time of the executing event: the simulated time
+// of the call that scheduled it. Between runs it is the clock. A model
+// that keeps part of its state in closed form compares it with the birth
+// times of the events it would have scheduled, to order them against the
+// executing event as the engine would have (same time, earlier birth
+// first).
+func (e *Engine) Born() Time { return e.born }
+
+// AtEnd runs fn once the executing event's callback (or process step) has
+// returned, before the next event; outside an event it runs fn at once. A
+// model that takes many updates in one event uses it to settle them once.
+func (e *Engine) AtEnd(fn func()) {
+	if !e.inStep {
+		fn()
+		return
+	}
+	e.atEnd = append(e.atEnd, fn)
+}
+
+// ScheduleBorn schedules fn at absolute time at on lane, as if the call
+// that scheduled it had run at time born on that lane: among the events
+// of its instant it takes the place such an event would. A model uses it
+// for the one event that stands in for a chain of events it no longer
+// schedules (born may then be later than the clock). An event at the
+// current time joins the same-time FIFO like any other.
+func (e *Engine) ScheduleBorn(at, born Time, lane uint32, fn func()) Event {
+	if at <= e.now {
+		return e.scheduleLane(at, "", fn, nil, lane)
+	}
+	id := e.allocSlot(at, "", fn, nil, lane)
+	e.push(id, at, born, lane, e.laneNext(lane))
+	return Event{eng: e, at: at, id: id, gen: e.arena[id].gen}
 }
 
 // Executed reports how many events this engine has fired so far.
@@ -319,6 +373,7 @@ func (e *Engine) allocSlot(at Time, label string, fn func(), proc *Proc, execLan
 	}
 	s := &e.arena[id]
 	s.at, s.fn, s.proc, s.label, s.lane, s.cancelled, s.next = at, fn, proc, label, execLane, false, 0
+	s.bTime = e.now // push overwrites it for a future event
 	return id
 }
 
@@ -420,20 +475,36 @@ func (e *Engine) step() bool {
 	}
 	s := &e.arena[id]
 	at, fn, proc, label := s.at, s.fn, s.proc, s.label
-	lane := s.lane
+	lane, born := s.lane, s.bTime
 	e.freeSlot(id)
-	e.now = at
+	e.now, e.born = at, born
 	e.curLane = lane
 	e.executed++
 	if e.Trace != nil && label != "" {
 		e.Trace(e.now, label)
 	}
+	e.inStep = true
 	if proc != nil {
 		e.dispatch(proc)
 	} else {
 		fn()
 	}
+	e.inStep = false
+	if len(e.atEnd) > 0 {
+		e.runAtEnd()
+	}
 	return true
+}
+
+// runAtEnd runs the executing event's AtEnd callbacks in registration
+// order; ones they register run in the same pass.
+func (e *Engine) runAtEnd() {
+	for i := 0; i < len(e.atEnd); i++ {
+		fn := e.atEnd[i]
+		e.atEnd[i] = nil
+		fn()
+	}
+	e.atEnd = e.atEnd[:0]
 }
 
 // Run executes events until the queue drains or Stop is called.
@@ -442,7 +513,7 @@ func (e *Engine) Run() {
 	start, resumed := e.executed, e.resumes
 	for !e.stopped && e.step() {
 	}
-	e.curLane = 0
+	e.curLane, e.born = 0, e.now
 	e.flushTotals(start, resumed)
 	e.stopIdle()
 }
@@ -491,6 +562,7 @@ func (e *Engine) RunUntil(deadline Time) {
 	if !e.stopped && e.now < deadline {
 		e.now = deadline
 	}
+	e.born = e.now
 }
 
 // Stop makes Run/RunUntil return after the current event completes, with

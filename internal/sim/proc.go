@@ -74,7 +74,8 @@ type Proc struct {
 	waitBuf waitState
 	// pend is the step a Counter.WaitGEAfter left for its wake event: the
 	// event's dispatch applies the store and resumes the process only if
-	// the counter has reached the target (landStore).
+	// the counter has reached the target (landStore). Or it is a store
+	// booked ahead (c nil), which a Kill before its time withdraws.
 	pend pendingStore
 	// acq is a stackless AwaitAcquire request queued for admission on
 	// acqRes; the dispatch that resumes the process takes it off, and a
@@ -267,6 +268,9 @@ func (e *Engine) dispatch(p *Proc) {
 	if p.dead {
 		return
 	}
+	if p.pend.w != nil && p.pend.c == nil {
+		p.pend = pendingStore{} // a booked store's time has come: it stands
+	}
 	if p.pend.c != nil && !p.landStore() {
 		return // now waiting on the counter
 	}
@@ -397,6 +401,11 @@ func (e *Engine) Kill(p *Proc) {
 		return
 	}
 	p.killed = true
+	if s := p.pend; s.c == nil && s.w != nil && Time(s.target) >= e.now {
+		// The store was booked for a time the process does not live to.
+		s.w.(AheadWriter).Withdraw(s.tag, Time(s.target))
+		p.pend = pendingStore{}
+	}
 	e.scheduleProc(e.now, "kill:"+p.name, p)
 }
 

@@ -53,6 +53,9 @@ type ctWaiter struct {
 	// done, when non-nil, is set true before the wake when the wait is
 	// satisfied — deadline waits use it to tell satisfaction from timeout.
 	done *bool
+	// floor is the earliest time the waiter may wake: the issue time of a
+	// store it handed its writer ahead (AwaitGEAfter), 0 for none.
+	floor Time
 }
 
 // NewCounter creates a Counter bound to e.
@@ -62,7 +65,10 @@ func NewCounter(e *Engine) *Counter { return &Counter{eng: e} }
 func (c *Counter) Value() int64 { return c.value }
 
 // Add increments the counter by n (n ≥ 0) and wakes any waiter whose
-// target is now satisfied.
+// target is now satisfied. The waiters it wakes at the current time run in
+// one event, a gang, in the order their own wake events would have run;
+// one waiting out a floor (a store issued ahead, AwaitGEAfter) wakes at
+// it, with the others of the same floor.
 func (c *Counter) Add(n int64) {
 	if n < 0 {
 		panic("sim: Counter.Add with negative increment")
@@ -71,18 +77,92 @@ func (c *Counter) Add(n int64) {
 	if n == 0 {
 		return
 	}
+	e := c.eng
+	// first is the one waiter woken now until a second makes a gang: a
+	// lone waiter takes its plain wake.
+	var first *Proc
+	var now, later *gang
 	rest := c.waiters[:0]
 	for _, w := range c.waiters {
-		if c.value >= w.target {
-			if w.done != nil {
-				*w.done = true
-			}
-			w.p.wake("ctwait")
-		} else {
+		if c.value < w.target {
 			rest = append(rest, w)
+			continue
+		}
+		if w.done != nil {
+			*w.done = true
+		}
+		switch {
+		case reference:
+			w.p.wake("ctwait")
+		case w.floor > e.now:
+			if later == nil || later.at != w.floor {
+				later = e.newGang(w.floor)
+			}
+			later.add(w.p)
+		case first == nil:
+			first = w.p
+		default:
+			if now == nil {
+				now = e.newGang(e.now)
+				now.add(first)
+			}
+			now.add(w.p)
 		}
 	}
+	if first != nil && now == nil {
+		first.wake("ctwait")
+	}
+	clear(c.waiters[len(rest):])
 	c.waiters = rest
+}
+
+// gang is one event that dispatches a group of processes in order, each
+// as its own wake event would: under its lane, traced with the wake's
+// label. Counter.Add wakes its satisfied waiters in gangs; records are
+// pooled per engine.
+type gang struct {
+	eng *Engine
+	at  Time
+	ps  []*Proc
+	fn  func()
+}
+
+// newGang starts an empty gang that is to run at time at.
+func (e *Engine) newGang(at Time) *gang {
+	var g *gang
+	if k := len(e.gangs); k > 0 {
+		g = e.gangs[k-1]
+		e.gangs = e.gangs[:k-1]
+	} else {
+		g = &gang{eng: e}
+		g.fn = g.run
+	}
+	g.at = at
+	return g
+}
+
+// add appends p to the gang, scheduling the gang's event with the first
+// member, under that member's lane.
+func (g *gang) add(p *Proc) {
+	g.ps = append(g.ps, p)
+	if len(g.ps) == 1 {
+		g.eng.scheduleLane(g.at, "", g.fn, nil, p.lane)
+	}
+}
+
+// run dispatches the gang's processes and returns the record to the pool.
+func (g *gang) run() {
+	e := g.eng
+	for i, p := range g.ps {
+		g.ps[i] = nil
+		e.curLane = p.lane
+		if e.Trace != nil {
+			e.Trace(e.now, "ctwait")
+		}
+		e.dispatch(p)
+	}
+	g.ps = g.ps[:0]
+	e.gangs = append(e.gangs, g)
 }
 
 // WaitGE parks p until the counter value is ≥ target. Returns immediately
@@ -110,8 +190,22 @@ func (c *Counter) AwaitGE(p *Proc, target int64) bool {
 // tag to its NIC's trigger address.
 type TagWriter interface{ Write(tag uint64) }
 
+// An AheadWriter is a TagWriter that can take a store before its time.
+// WriteAhead(tag, at) books the store that Write(tag) would make at time
+// at (≥ now), and reports false when the writer cannot (the caller then
+// stores at time at itself); Withdraw(tag, at) takes back a booked store
+// that has not happened, as a process killed before at never makes it.
+type AheadWriter interface {
+	TagWriter
+	WriteAhead(tag uint64, at Time) bool
+	Withdraw(tag uint64, at Time)
+}
+
 // pendingStore is a WaitGEAfter step: the store to apply and the counter
-// wait to start when the process's wake event fires.
+// wait to start when the process's wake event fires. With c nil it is
+// instead a store AwaitGEAfter booked with w, an AheadWriter, for time
+// Time(target), kept until then so a Kill can withdraw it (sharing the
+// record keeps Proc in its allocation size class).
 type pendingStore struct {
 	w      TagWriter
 	tag    uint64
@@ -136,6 +230,11 @@ func (c *Counter) WaitGEAfter(p *Proc, d Time, w TagWriter, tag uint64, target i
 // p waits (its next step then runs once the store has landed and the
 // counter reached target), or whether, with no delay, the store landed
 // and the counter was already at target (false).
+//
+// A writer that can take the store ahead (AheadWriter) gets it now, for
+// time now+d, and p waits on the counter at once with now+d as the floor
+// of its wake: the wake is the one event left of the sleep, the store and
+// the poll. A Kill before now+d withdraws the store.
 func (c *Counter) AwaitGEAfter(p *Proc, d Time, w TagWriter, tag uint64, target int64) bool {
 	if d <= 0 {
 		if w != nil {
@@ -144,8 +243,20 @@ func (c *Counter) AwaitGEAfter(p *Proc, d Time, w TagWriter, tag uint64, target 
 		return c.AwaitGE(p, target)
 	}
 	e := c.eng
+	at := e.now + d
+	if aw, ok := w.(AheadWriter); ok && !reference && aw.WriteAhead(tag, at) {
+		p.pend = pendingStore{w: aw, tag: tag, target: int64(at)}
+		if c.value >= target {
+			e.scheduleProc(at, p.wakeLbl(), p)
+			return true
+		}
+		c.waiters = append(c.waiters, ctWaiter{p: p, target: target, floor: at})
+		p.waitBuf = waitState{kind: "counter", ctr: c, target: target}
+		p.waiting = &p.waitBuf
+		return true
+	}
 	p.pend = pendingStore{w: w, tag: tag, c: c, target: target}
-	e.scheduleProc(e.now+d, p.wakeLbl(), p)
+	e.scheduleProc(at, p.wakeLbl(), p)
 	return true
 }
 
